@@ -1,17 +1,17 @@
-(* Position-tracking XML subset parser and MSCCL-IR serializer.
+(* One-pass positioned XML lexer, tree builder and MSCCL-IR printer.
 
-   Every parsed element and attribute carries its 1-based line:col source
-   position, and every parse failure raises a structured {!Parse_error}
-   carrying the message, the file label, the position and the stack of
-   open elements rendered "<tag> at FILE:LINE:COL" — the ingestion layer
-   (lib/interop) and the golden bad-XML corpus depend on those positions
-   being exact. *)
+   The lexer makes a single forward pass over the source and emits
+   start-element and end-element events; each start event carries the
+   tag, its 1-based line:col and its attributes, each positioned too. The
+   open-element stack is explicit, so nesting depth costs heap, not OCaml
+   stack. Every failure raises a structured {!Parse_error} carrying the
+   message, the file label, the position and the open elements rendered
+   "<tag> at FILE:LINE:COL" — the ingestion layer (lib/interop) and the
+   golden bad-XML corpus depend on those positions being exact. *)
 
 type pos = { line : int; col : int }
 
 let no_pos = { line = 0; col = 0 }
-
-let pp_pos fmt p = Format.fprintf fmt "%d:%d" p.line p.col
 
 type tree = {
   tag : string;
@@ -21,11 +21,13 @@ type tree = {
   t_attr_pos : (string * pos) list;
 }
 
-(* Synthesized nodes (the IR printer) carry no source position. *)
+(* Synthesized nodes carry no source position. *)
 let el tag attrs children = { tag; attrs; children; t_pos = no_pos; t_attr_pos = [] }
 
 let attr_pos t k =
   match List.assoc_opt k t.t_attr_pos with Some p -> p | None -> t.t_pos
+
+type attr = { a_name : string; a_value : string; a_pos : pos }
 
 type error = {
   e_message : string;
@@ -75,90 +77,133 @@ let error_json e =
        (List.map (fun c -> "\"" ^ json_escape c ^ "\"") e.e_context))
 
 (* ------------------------------------------------------------------ *)
-(* Printing                                                            *)
+(* Printing: one element writer into one Buffer                        *)
 (* ------------------------------------------------------------------ *)
 
-let escape s =
-  let b = Buffer.create (String.length s) in
+let add_escaped b s =
   String.iter
-    (fun c ->
-      match c with
+    (function
       | '&' -> Buffer.add_string b "&amp;"
       | '<' -> Buffer.add_string b "&lt;"
       | '>' -> Buffer.add_string b "&gt;"
       | '"' -> Buffer.add_string b "&quot;"
       | '\'' -> Buffer.add_string b "&apos;"
       | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+    s
 
-let rec print_tree fmt t =
-  Format.fprintf fmt "@[<v 2><%s" t.tag;
-  List.iter (fun (k, v) -> Format.fprintf fmt " %s=\"%s\"" k (escape v)) t.attrs;
-  match t.children with
-  | [] -> Format.fprintf fmt "/>@]"
-  | cs ->
-      Format.fprintf fmt ">";
-      List.iter (fun c -> Format.fprintf fmt "@,%a" print_tree c) cs;
-      Format.fprintf fmt "@]@,</%s>" t.tag
+let start_tag b tag =
+  Buffer.add_char b '<';
+  Buffer.add_string b tag
+
+let attr_start b k =
+  Buffer.add_char b ' ';
+  Buffer.add_string b k;
+  Buffer.add_string b "=\""
+
+let attr b k v =
+  attr_start b k;
+  add_escaped b v;
+  Buffer.add_char b '"'
+
+let int_attr b k n =
+  attr_start b k;
+  Buffer.add_string b (string_of_int n);
+  Buffer.add_char b '"'
+
+(* Ends the start tag of an element at [depth]: [/>] without children,
+   else each child on its own line two spaces deeper, then the end tag. *)
+let children b depth tag items write =
+  if Array.length items = 0 then Buffer.add_string b "/>"
+  else begin
+    Buffer.add_char b '>';
+    let indent d =
+      Buffer.add_char b '\n';
+      for _ = 1 to 2 * d do
+        Buffer.add_char b ' '
+      done
+    in
+    Array.iter
+      (fun x ->
+        indent (depth + 1);
+        write (depth + 1) x)
+      items;
+    indent depth;
+    Buffer.add_string b "</";
+    Buffer.add_string b tag;
+    Buffer.add_char b '>'
+  end
+
+let rec write_tree b depth t =
+  start_tag b t.tag;
+  List.iter (fun (k, v) -> attr b k v) t.attrs;
+  children b depth t.tag (Array.of_list t.children) (write_tree b)
+
+let tree_to_string t =
+  let b = Buffer.create 4096 in
+  write_tree b 0 t;
+  Buffer.contents b
 
 (* ------------------------------------------------------------------ *)
 (* Lexing                                                              *)
 (* ------------------------------------------------------------------ *)
 
-type cursor = {
+type lexer = {
   src : string;
   file : string;
-  mutable pos : int;
+  mutable i : int;  (* byte offset *)
   mutable line : int;
-  mutable col : int;
-  mutable stack : (string * pos) list;  (* open elements, innermost first *)
+  mutable bol : int;  (* offset of the current line's first byte *)
+  mutable open_els : (string * pos) list;  (* innermost first *)
 }
 
-let cursor ?(file = "<string>") src =
-  { src; file; pos = 0; line = 1; col = 1; stack = [] }
+let lexer ?(file = "<string>") src =
+  { src; file; i = 0; line = 1; bol = 0; open_els = [] }
 
-let cur_pos c = { line = c.line; col = c.col }
+let here l = { line = l.line; col = l.i - l.bol + 1 }
 
-let context_of c = List.map (fun (tag, p) -> frame ~file:c.file tag p) c.stack
-
-let raise_at c ?context p fmt =
-  let context = match context with Some x -> x | None -> context_of c in
+let raise_at l p fmt =
   Format.kasprintf
     (fun m ->
       raise
         (Parse_error
-           { e_message = m; e_file = c.file; e_pos = p; e_context = context }))
+           {
+             e_message = m;
+             e_file = l.file;
+             e_pos = p;
+             e_context =
+               List.map (fun (tag, p) -> frame ~file:l.file tag p) l.open_els;
+           }))
     fmt
 
-let fail c fmt = raise_at c (cur_pos c) fmt
+let fail l fmt = raise_at l (here l) fmt
 
-let peek c = if c.pos < String.length c.src then Some c.src.[c.pos] else None
+let eof l = l.i >= String.length l.src
 
-let advance c =
-  (if c.pos < String.length c.src then
-     if c.src.[c.pos] = '\n' then begin
-       c.line <- c.line + 1;
-       c.col <- 1
-     end
-     else c.col <- c.col + 1);
-  c.pos <- c.pos + 1
+(* The byte under the cursor; callers check [eof] first. *)
+let peek l = String.unsafe_get l.src l.i
 
-let advance_n c n =
-  for _ = 1 to n do
-    advance c
-  done
+let bump l =
+  if peek l = '\n' then begin
+    l.line <- l.line + 1;
+    l.bol <- l.i + 1
+  end;
+  l.i <- l.i + 1
 
-let looking_at c s =
+let looking_at l s =
   let n = String.length s in
-  c.pos + n <= String.length c.src && String.sub c.src c.pos n = s
+  l.i + n <= String.length l.src
+  &&
+  let rec go k =
+    k = n
+    || String.unsafe_get l.src (l.i + k) = String.unsafe_get s k && go (k + 1)
+  in
+  go 0
 
-let expect c s =
-  if looking_at c s then advance_n c (String.length s)
-  else
-    match peek c with
-    | None -> fail c "expected %S but reached end of input" s
-    | Some ch -> fail c "expected %S, found %C" s ch
+let expect l ch =
+  if (not (eof l)) && peek l = ch then l.i <- l.i + 1
+  else if eof l then
+    fail l "expected %S but reached end of input" (String.make 1 ch)
+  else fail l "expected %S, found %C" (String.make 1 ch) (peek l)
 
 let is_name_char ch =
   (ch >= 'a' && ch <= 'z')
@@ -166,47 +211,45 @@ let is_name_char ch =
   || (ch >= '0' && ch <= '9')
   || ch = '_' || ch = '-' || ch = ':' || ch = '.'
 
-let rec skip_ws c =
-  match peek c with
-  | Some (' ' | '\t' | '\n' | '\r') ->
-      advance c;
-      skip_ws c
-  | Some _ | None -> ()
+let rec skip_ws l =
+  if not (eof l) then
+    match peek l with
+    | ' ' | '\t' | '\r' ->
+        l.i <- l.i + 1;
+        skip_ws l
+    | '\n' ->
+        bump l;
+        skip_ws l
+    | _ -> ()
 
-let rec skip_ws_and_comments c =
-  skip_ws c;
-  if looking_at c "<!--" then begin
-    let open_pos = cur_pos c in
-    advance_n c 4;
-    let rec close () =
-      if c.pos >= String.length c.src then
-        raise_at c open_pos "unterminated comment (opened here)"
-      else if looking_at c "-->" then advance_n c 3
-      else begin
-        advance c;
-        close ()
-      end
-    in
-    close ();
-    skip_ws_and_comments c
+(* Moves past the first [close] at or after the cursor; [what] names the
+   construct opened at [p] when there is none. *)
+let rec skip_past l close p what =
+  if eof l then raise_at l p "unterminated %s (opened here)" what
+  else if looking_at l close then l.i <- l.i + String.length close
+  else begin
+    bump l;
+    skip_past l close p what
   end
 
-let read_name c =
-  let start = c.pos in
-  let rec go () =
-    match peek c with
-    | Some ch when is_name_char ch ->
-        advance c;
-        go ()
-    | Some _ | None -> ()
-  in
-  go ();
-  if c.pos = start then begin
-    match peek c with
-    | None -> fail c "expected a name but reached end of input"
-    | Some ch -> fail c "expected a name, found %C" ch
-  end;
-  String.sub c.src start (c.pos - start)
+let rec skip_ws_and_comments l =
+  skip_ws l;
+  if looking_at l "<!--" then begin
+    let p = here l in
+    l.i <- l.i + 4;
+    skip_past l "-->" p "comment";
+    skip_ws_and_comments l
+  end
+
+let read_name l =
+  let start = l.i in
+  while (not (eof l)) && is_name_char (peek l) do
+    l.i <- l.i + 1
+  done;
+  if l.i = start then
+    if eof l then fail l "expected a name but reached end of input"
+    else fail l "expected a name, found %C" (peek l);
+  String.sub l.src start (l.i - start)
 
 (* ------------------------------------------------------------------ *)
 (* Entities                                                            *)
@@ -236,23 +279,24 @@ let is_hex ch =
   is_digit ch || (ch >= 'a' && ch <= 'f') || (ch >= 'A' && ch <= 'F')
 
 (* Decodes the entity whose '&' sits under the cursor. *)
-let read_entity c b =
-  let amp_pos = cur_pos c in
-  advance c;
-  let start = c.pos in
+let read_entity l b =
+  let amp_pos = here l in
+  l.i <- l.i + 1;
+  let start = l.i in
   let rec scan n =
     if n > 12 then
-      raise_at c amp_pos "malformed entity: no ';' within 12 characters of '&'"
-    else
-      match peek c with
-      | None -> raise_at c amp_pos "malformed entity: unterminated reference"
-      | Some ';' ->
-          let name = String.sub c.src start (c.pos - start) in
-          advance c;
-          name
-      | Some _ ->
-          advance c;
-          scan (n + 1)
+      raise_at l amp_pos "malformed entity: no ';' within 12 characters of '&'"
+    else if eof l then
+      raise_at l amp_pos "malformed entity: unterminated reference"
+    else if peek l = ';' then begin
+      let name = String.sub l.src start (l.i - start) in
+      l.i <- l.i + 1;
+      name
+    end
+    else begin
+      bump l;
+      scan (n + 1)
+    end
   in
   let name = scan 0 in
   match name with
@@ -261,7 +305,7 @@ let read_entity c b =
   | "gt" -> Buffer.add_char b '>'
   | "quot" -> Buffer.add_char b '"'
   | "apos" -> Buffer.add_char b '\''
-  | "" -> raise_at c amp_pos "malformed entity: empty reference '&;'"
+  | "" -> raise_at l amp_pos "malformed entity: empty reference '&;'"
   | _ when name.[0] = '#' ->
       let digits = String.sub name 1 (String.length name - 1) in
       let code =
@@ -279,414 +323,262 @@ let read_entity c b =
       in
       (match code with
       | Some cp when cp >= 1 && cp <= 0x10FFFF -> add_utf8 b cp
-      | Some cp -> raise_at c amp_pos
+      | Some cp -> raise_at l amp_pos
           "numeric character reference '&%s;' is out of range (%d)" name cp
       | None ->
-          raise_at c amp_pos "malformed numeric character reference '&%s;'"
+          raise_at l amp_pos "malformed numeric character reference '&%s;'"
             name)
-  | _ -> raise_at c amp_pos "unknown entity '&%s;'" name
+  | _ -> raise_at l amp_pos "unknown entity '&%s;'" name
 
-(* Decodes entity references until [stop] (or end of input when [stop] is
-   [None], the bare-fragment mode {!unescape} uses). *)
-let scan_value ?stop ?open_pos c =
-  let b = Buffer.create 16 in
-  let rec go () =
-    match (peek c, stop) with
-    | None, None -> ()
-    | None, Some _ ->
-        let p = match open_pos with Some p -> p | None -> cur_pos c in
-        raise_at c p "unterminated attribute value (quote opened here)"
-    | Some ch, Some stop when ch = stop -> advance c
-    | Some '&', _ ->
-        read_entity c b;
-        go ()
-    | Some ch, _ ->
-        Buffer.add_char b ch;
-        advance c;
-        go ()
-  in
-  go ();
+(* Decodes entity references into [b] up to the closing quote of a value
+   whose quote opened at [quote], or to the end of input for a bare
+   fragment ([quote = None]). *)
+let rec decode l b ~quote =
+  if eof l then
+    Option.iter
+      (fun p -> raise_at l p "unterminated attribute value (quote opened here)")
+      quote
+  else
+    match peek l with
+    | '"' when quote <> None -> l.i <- l.i + 1
+    | '&' ->
+        read_entity l b;
+        decode l b ~quote
+    | c ->
+        Buffer.add_char b c;
+        bump l;
+        decode l b ~quote
+
+let unescape s =
+  let b = Buffer.create (String.length s) in
+  decode (lexer ~file:"<fragment>" s) b ~quote:None;
   Buffer.contents b
 
-let unescape s = scan_value (cursor ~file:"<fragment>" s)
+let rec skip_plain l =
+  if (not (eof l)) && peek l <> '"' && peek l <> '&' then begin
+    bump l;
+    skip_plain l
+  end
 
-let read_attr_value c =
-  let open_pos = cur_pos c in
-  expect c "\"";
-  scan_value ~stop:'"' ~open_pos c
+(* A value without '&' is sliced straight from the source. *)
+let read_value l =
+  let line = l.line and col = l.i - l.bol + 1 in
+  expect l '"';
+  let start = l.i in
+  skip_plain l;
+  if (not (eof l)) && peek l = '"' then begin
+    l.i <- l.i + 1;
+    String.sub l.src start (l.i - 1 - start)
+  end
+  else begin
+    let b = Buffer.create (l.i - start + 16) in
+    Buffer.add_substring b l.src start (l.i - start);
+    decode l b ~quote:(Some { line; col });
+    Buffer.contents b
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Elements                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let rec parse_element c =
-  skip_ws_and_comments c;
-  let start_pos = cur_pos c in
-  (match peek c with
-  | Some '<' when not (looking_at c "</") -> ()
-  | Some '<' -> fail c "unexpected closing tag"
-  | Some ch -> fail c "expected an element, found %C (text content is not supported)" ch
-  | None -> fail c "expected an element but reached end of input");
-  expect c "<";
-  let tag = read_name c in
-  c.stack <- (tag, start_pos) :: c.stack;
+(* Reads the start tag under the cursor, emits it, and closes it at once
+   when it ends in "/>". *)
+let element l ~on_start ~on_end =
+  let p = here l in
+  l.i <- l.i + 1;
+  let tag = read_name l in
+  l.open_els <- (tag, p) :: l.open_els;
   let rec attrs acc =
-    skip_ws c;
-    match peek c with
-    | Some '/' | Some '>' -> List.rev acc
-    | Some ch when is_name_char ch ->
-        let k_pos = cur_pos c in
-        let k = read_name c in
-        (match List.find_opt (fun (k', _, _) -> String.equal k' k) acc with
-        | Some (_, _, (first : pos)) ->
-            raise_at c k_pos
-              "duplicate attribute %s on <%s> (first occurrence at %s:%d:%d)"
-              k tag c.file first.line first.col
-        | None -> ());
-        skip_ws c;
-        expect c "=";
-        skip_ws c;
-        let v = read_attr_value c in
-        attrs ((k, v, k_pos) :: acc)
-    | Some ch ->
-        fail c "unexpected %C in <%s> (expected an attribute name, '>' or '/>')"
-          ch tag
-    | None ->
-        raise_at c start_pos "unterminated element <%s> (opened here)" tag
+    skip_ws l;
+    if eof l then raise_at l p "unterminated element <%s> (opened here)" tag
+    else
+      match peek l with
+      | '/' | '>' -> List.rev acc
+      | ch when is_name_char ch ->
+          let k_pos = here l in
+          let k = read_name l in
+          (match List.find_opt (fun a -> String.equal a.a_name k) acc with
+          | Some first ->
+              raise_at l k_pos
+                "duplicate attribute %s on <%s> (first occurrence at %s:%d:%d)"
+                k tag l.file first.a_pos.line first.a_pos.col
+          | None -> ());
+          skip_ws l;
+          expect l '=';
+          skip_ws l;
+          let v = read_value l in
+          attrs ({ a_name = k; a_value = v; a_pos = k_pos } :: acc)
+      | ch ->
+          fail l "unexpected %C in <%s> (expected an attribute name, '>' or '/>')"
+            ch tag
   in
   let attrs = attrs [] in
-  skip_ws c;
-  let finish children =
-    c.stack <- List.tl c.stack;
-    {
-      tag;
-      attrs = List.map (fun (k, v, _) -> (k, v)) attrs;
-      children;
-      t_pos = start_pos;
-      t_attr_pos = List.map (fun (k, _, p) -> (k, p)) attrs;
-    }
+  let empty = looking_at l "/>" in
+  if empty then l.i <- l.i + 2 else expect l '>';
+  on_start tag p attrs;
+  if empty then begin
+    l.open_els <- List.tl l.open_els;
+    on_end ()
+  end
+
+let lex ?file s ~on_start ~on_end =
+  let l = lexer ?file s in
+  if looking_at l "\xef\xbb\xbf" then l.i <- 3;
+  skip_ws_and_comments l;
+  if looking_at l "<?" then skip_past l "?>" (here l) "XML declaration";
+  skip_ws_and_comments l;
+  if eof l then fail l "expected an element but reached end of input";
+  if looking_at l "</" then fail l "unexpected closing tag";
+  if peek l <> '<' then
+    fail l "expected an element, found %C (text content is not supported)"
+      (peek l);
+  element l ~on_start ~on_end;
+  (* Content of the innermost open element, until the root closes. *)
+  let rec content () =
+    match l.open_els with
+    | [] -> ()
+    | (tag, p) :: rest ->
+        skip_ws_and_comments l;
+        if looking_at l "</" then begin
+          let close_pos = here l in
+          l.i <- l.i + 2;
+          let close = read_name l in
+          if not (String.equal close tag) then
+            raise_at l close_pos
+              "mismatched closing tag </%s> for <%s> (opened at %s:%d:%d)"
+              close tag l.file p.line p.col;
+          skip_ws l;
+          expect l '>';
+          l.open_els <- rest;
+          on_end ()
+        end
+        else if eof l then
+          raise_at l p "unterminated element <%s> (opened here)" tag
+        else if peek l = '<' then element l ~on_start ~on_end
+        else
+          fail l "expected an element, found %C (text content is not supported)"
+            (peek l);
+        content ()
   in
-  if looking_at c "/>" then begin
-    advance_n c 2;
-    finish []
-  end
-  else begin
-    expect c ">";
-    let rec children acc =
-      skip_ws_and_comments c;
-      if looking_at c "</" then begin
-        let close_pos = cur_pos c in
-        advance_n c 2;
-        let close = read_name c in
-        if not (String.equal close tag) then
-          raise_at c close_pos
-            "mismatched closing tag </%s> for <%s> (opened at %s:%d:%d)" close
-            tag c.file start_pos.line start_pos.col;
-        skip_ws c;
-        expect c ">";
-        List.rev acc
-      end
-      else if peek c = None then
-        raise_at c start_pos "unterminated element <%s> (opened here)" tag
-      else children (parse_element c :: acc)
-    in
-    finish (children [])
-  end
+  content ();
+  skip_ws_and_comments l;
+  if not (eof l) then
+    fail l "trailing content after the root element (found %C)" (peek l)
+
+type building = {
+  b_tag : string;
+  b_pos : pos;
+  b_attrs : attr list;
+  mutable b_children : tree list;  (* reversed *)
+}
 
 let parse_tree ?file s =
-  let c = cursor ?file s in
-  if looking_at c "\xef\xbb\xbf" then advance_n c 3;
-  skip_ws_and_comments c;
-  if looking_at c "<?" then begin
-    let open_pos = cur_pos c in
-    let rec close () =
-      if c.pos >= String.length c.src then
-        raise_at c open_pos "unterminated XML declaration (opened here)"
-      else if looking_at c "?>" then advance_n c 2
-      else begin
-        advance c;
-        close ()
-      end
-    in
-    close ()
-  end;
-  let t = parse_element c in
-  skip_ws_and_comments c;
-  (match peek c with
-  | None -> ()
-  | Some ch -> fail c "trailing content after the root element (found %C)" ch);
-  t
+  let stack = ref [] and root = ref None in
+  lex ?file s
+    ~on_start:(fun b_tag b_pos b_attrs ->
+      stack := { b_tag; b_pos; b_attrs; b_children = [] } :: !stack)
+    ~on_end:(fun () ->
+      match !stack with
+      | [] -> ()
+      | b :: rest ->
+          let t =
+            {
+              tag = b.b_tag;
+              attrs = List.map (fun a -> (a.a_name, a.a_value)) b.b_attrs;
+              children = List.rev b.b_children;
+              t_pos = b.b_pos;
+              t_attr_pos = List.map (fun a -> (a.a_name, a.a_pos)) b.b_attrs;
+            }
+          in
+          stack := rest;
+          (match rest with
+          | parent :: _ -> parent.b_children <- t :: parent.b_children
+          | [] -> root := Some t));
+  Option.get !root
 
 (* ------------------------------------------------------------------ *)
-(* IR -> tree                                                          *)
+(* IR -> XML                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let ids_attr prefix ids =
-  (prefix, String.concat "," (List.map string_of_int ids))
+let ids_attr b k ids =
+  attr_start b k;
+  List.iteri
+    (fun i id ->
+      if i > 0 then Buffer.add_char b ',';
+      Buffer.add_string b (string_of_int id))
+    ids;
+  Buffer.add_char b '"'
 
-let loc_attrs prefix = function
-  | None -> [ (prefix ^ "buf", "n"); (prefix ^ "off", "-1") ]
-  | Some (l : Loc.t) ->
-      [
-        (prefix ^ "buf", Buffer_id.name l.Loc.buf);
-        (prefix ^ "off", string_of_int l.Loc.index);
-      ]
-
-let step_to_tree (st : Ir.step) =
-  let depid, deps =
-    match st.Ir.depends with
-    | [] -> ([ -1 ], [ -1 ])
-    | ds -> (List.map fst ds, List.map snd ds)
-  in
-  el "step"
-    ([ ("s", string_of_int st.Ir.s); ("type", Instr.opcode_name st.Ir.op) ]
-    @ loc_attrs "src" st.Ir.src @ loc_attrs "dst" st.Ir.dst
-    @ [
-        ("cnt", string_of_int st.Ir.count);
-        ids_attr "depid" depid;
-        ids_attr "deps" deps;
-        ("hasdep", if st.Ir.has_dep then "1" else "0");
-      ])
-    []
-
-let tb_to_tree (tb : Ir.tb) =
-  el "tb"
-    [
-      ("id", string_of_int tb.Ir.tb_id);
-      ("send", string_of_int tb.Ir.send);
-      ("recv", string_of_int tb.Ir.recv);
-      ("chan", string_of_int tb.Ir.chan);
-    ]
-    (Array.to_list (Array.map step_to_tree tb.Ir.steps))
-
-let gpu_to_tree (g : Ir.gpu) =
-  el "gpu"
-    [
-      ("id", string_of_int g.Ir.gpu_id);
-      ("i_chunks", string_of_int g.Ir.input_chunks);
-      ("o_chunks", string_of_int g.Ir.output_chunks);
-      ("s_chunks", string_of_int g.Ir.scratch_chunks);
-    ]
-    (Array.to_list (Array.map tb_to_tree g.Ir.tbs))
-
-let to_tree (ir : Ir.t) =
-  let coll = ir.Ir.collective in
-  let coll_attrs =
-    match coll.Collective.kind with
-    | Collective.Broadcast r | Collective.Reduce r | Collective.Gather r
-    | Collective.Scatter r ->
-        [ ("coll", Collective.name coll); ("root", string_of_int r) ]
-    | Collective.Custom c ->
-        [
-          ("coll", "custom");
-          ("cname", c.Collective.custom_name);
-          ("in_chunks", string_of_int c.Collective.input_chunks);
-          ("out_chunks", string_of_int c.Collective.output_chunks);
-        ]
-    | Collective.Allreduce | Collective.Allgather | Collective.Reduce_scatter
-    | Collective.Alltoall | Collective.Alltonext ->
-        [ ("coll", Collective.name coll) ]
-  in
-  el "algo"
-    ([
-       ("name", ir.Ir.name);
-       ("proto", Msccl_topology.Protocol.name ir.Ir.proto);
-       ("nranks", string_of_int coll.Collective.num_ranks);
-       ("chunk_factor", string_of_int coll.Collective.chunk_factor);
-       ("inplace", if coll.Collective.inplace then "1" else "0");
-     ]
-    @ coll_attrs)
-    (Array.to_list (Array.map gpu_to_tree ir.Ir.gpus))
-
-(* ------------------------------------------------------------------ *)
-(* tree -> IR (strict: first error wins, but positioned)               *)
-(* ------------------------------------------------------------------ *)
-
-type ctx = { c_file : string; c_parents : tree list (* innermost first *) }
-
-let fail_in ctx p fmt =
-  Format.kasprintf
-    (fun m ->
-      raise
-        (Parse_error
-           {
-             e_message = m;
-             e_file = ctx.c_file;
-             e_pos = p;
-             e_context =
-               List.map
-                 (fun t -> frame ~file:ctx.c_file t.tag t.t_pos)
-                 ctx.c_parents;
-           }))
-    fmt
-
-let fail_t ctx t fmt = fail_in ctx t.t_pos fmt
-
-let push ctx t = { ctx with c_parents = t :: ctx.c_parents }
-
-let attr ctx t k =
-  match List.assoc_opt k t.attrs with
-  | Some v -> v
-  | None -> fail_t ctx t "<%s> is missing the required attribute %s" t.tag k
-
-let int_attr ctx t k =
-  let v = attr ctx t k in
-  match int_of_string_opt v with
-  | Some n -> n
+let loc_attrs b prefix = function
   | None ->
-      fail_in ctx (attr_pos t k) "<%s> attribute %s: %S is not an integer"
-        t.tag k v
+      attr b (prefix ^ "buf") "n";
+      int_attr b (prefix ^ "off") (-1)
+  | Some (l : Loc.t) ->
+      attr b (prefix ^ "buf") (Buffer_id.name l.Loc.buf);
+      int_attr b (prefix ^ "off") l.Loc.index
 
-let ids_of_attr ctx t k =
-  attr ctx t k |> String.split_on_char ','
-  |> List.map (fun s ->
-         match int_of_string_opt (String.trim s) with
-         | Some v -> v
-         | None ->
-             fail_in ctx (attr_pos t k)
-               "<%s> attribute %s: bad id list %S" t.tag k (attr ctx t k))
+let write_step b _depth (st : Ir.step) =
+  start_tag b "step";
+  int_attr b "s" st.Ir.s;
+  attr b "type" (Instr.opcode_name st.Ir.op);
+  loc_attrs b "src" st.Ir.src;
+  loc_attrs b "dst" st.Ir.dst;
+  int_attr b "cnt" st.Ir.count;
+  (match st.Ir.depends with
+  | [] ->
+      int_attr b "depid" (-1);
+      int_attr b "deps" (-1)
+  | ds ->
+      ids_attr b "depid" (List.map fst ds);
+      ids_attr b "deps" (List.map snd ds));
+  attr b "hasdep" (if st.Ir.has_dep then "1" else "0");
+  Buffer.add_string b "/>"
 
-let loc_of_attrs ctx t prefix ~rank ~count =
-  match attr ctx t (prefix ^ "buf") with
-  | "n" -> None
-  | b -> (
-      match Buffer_id.of_name b with
-      | None ->
-          fail_in ctx (attr_pos t (prefix ^ "buf"))
-            "<%s> references unknown buffer %S" t.tag b
-      | Some buf ->
-          let index = int_attr ctx t (prefix ^ "off") in
-          if index < 0 then
-            fail_in ctx (attr_pos t (prefix ^ "off"))
-              "<%s> attribute %soff: negative offset %d" t.tag prefix index;
-          Some (Loc.make ~rank ~buf ~index ~count))
+let write_tb b depth (tb : Ir.tb) =
+  start_tag b "tb";
+  int_attr b "id" tb.Ir.tb_id;
+  int_attr b "send" tb.Ir.send;
+  int_attr b "recv" tb.Ir.recv;
+  int_attr b "chan" tb.Ir.chan;
+  children b depth "tb" tb.Ir.steps (write_step b)
 
-let step_of_tree ctx ~rank t =
-  if t.tag <> "step" then fail_t ctx t "expected <step>, got <%s>" t.tag;
-  let op =
-    match Instr.opcode_of_name (attr ctx t "type") with
-    | Some op -> op
-    | None ->
-        fail_in ctx (attr_pos t "type") "<step> has unknown opcode %S"
-          (attr ctx t "type")
-  in
-  let count = int_attr ctx t "cnt" in
-  if count <= 0 then
-    fail_in ctx (attr_pos t "cnt") "<step> attribute cnt: nonpositive count %d"
-      count;
-  let depends =
-    match (ids_of_attr ctx t "depid", ids_of_attr ctx t "deps") with
-    | [ -1 ], [ -1 ] -> []
-    | tbs, steps when List.length tbs = List.length steps ->
-        List.combine tbs steps
-    | _ -> fail_in ctx (attr_pos t "deps") "<step> depid/deps length mismatch"
-  in
-  {
-    Ir.s = int_attr ctx t "s";
-    op;
-    src = loc_of_attrs ctx t "src" ~rank ~count;
-    dst = loc_of_attrs ctx t "dst" ~rank ~count;
-    count;
-    depends;
-    has_dep = attr ctx t "hasdep" = "1";
-  }
+let write_gpu b depth (g : Ir.gpu) =
+  start_tag b "gpu";
+  int_attr b "id" g.Ir.gpu_id;
+  int_attr b "i_chunks" g.Ir.input_chunks;
+  int_attr b "o_chunks" g.Ir.output_chunks;
+  int_attr b "s_chunks" g.Ir.scratch_chunks;
+  children b depth "gpu" g.Ir.tbs (write_tb b)
 
-let tb_of_tree ctx ~rank t =
-  if t.tag <> "tb" then fail_t ctx t "expected <tb>, got <%s>" t.tag;
-  {
-    Ir.tb_id = int_attr ctx t "id";
-    send = int_attr ctx t "send";
-    recv = int_attr ctx t "recv";
-    chan = int_attr ctx t "chan";
-    steps =
-      Array.of_list (List.map (step_of_tree (push ctx t) ~rank) t.children);
-  }
+let to_buffer (ir : Ir.t) =
+  let b = Buffer.create 65536 in
+  let coll = ir.Ir.collective in
+  Buffer.add_string b "<?xml version=\"1.0\"?>\n";
+  start_tag b "algo";
+  attr b "name" ir.Ir.name;
+  attr b "proto" (Msccl_topology.Protocol.name ir.Ir.proto);
+  int_attr b "nranks" coll.Collective.num_ranks;
+  int_attr b "chunk_factor" coll.Collective.chunk_factor;
+  attr b "inplace" (if coll.Collective.inplace then "1" else "0");
+  (match coll.Collective.kind with
+  | Collective.Broadcast r | Collective.Reduce r | Collective.Gather r
+  | Collective.Scatter r ->
+      attr b "coll" (Collective.name coll);
+      int_attr b "root" r
+  | Collective.Custom c ->
+      attr b "coll" "custom";
+      attr b "cname" c.Collective.custom_name;
+      int_attr b "in_chunks" c.Collective.input_chunks;
+      int_attr b "out_chunks" c.Collective.output_chunks
+  | Collective.Allreduce | Collective.Allgather | Collective.Reduce_scatter
+  | Collective.Alltoall | Collective.Alltonext ->
+      attr b "coll" (Collective.name coll));
+  children b 0 "algo" ir.Ir.gpus (write_gpu b);
+  Buffer.add_char b '\n';
+  b
 
-let gpu_of_tree ctx t =
-  if t.tag <> "gpu" then fail_t ctx t "expected <gpu>, got <%s>" t.tag;
-  let rank = int_attr ctx t "id" in
-  {
-    Ir.gpu_id = rank;
-    input_chunks = int_attr ctx t "i_chunks";
-    output_chunks = int_attr ctx t "o_chunks";
-    scratch_chunks = int_attr ctx t "s_chunks";
-    tbs = Array.of_list (List.map (tb_of_tree (push ctx t) ~rank) t.children);
-  }
-
-let of_tree ?(file = "<string>") t =
-  let ctx = { c_file = file; c_parents = [] } in
-  if t.tag <> "algo" then fail_t ctx t "expected <algo> root, got <%s>" t.tag;
-  let num_ranks = int_attr ctx t "nranks" in
-  let chunk_factor = int_attr ctx t "chunk_factor" in
-  let inplace = attr ctx t "inplace" = "1" in
-  let kind =
-    match attr ctx t "coll" with
-    | "custom" ->
-        Collective.Custom
-          {
-            Collective.custom_name = attr ctx t "cname";
-            input_chunks = int_attr ctx t "in_chunks";
-            output_chunks = int_attr ctx t "out_chunks";
-            expected = (fun ~rank:_ ~index:_ -> None);
-            initial = None;
-          }
-    | name -> (
-        match Collective.kind_of_name name with
-        | None ->
-            fail_in ctx (attr_pos t "coll") "unknown collective %S" name
-        | Some k -> (
-            let root () = int_attr ctx t "root" in
-            match k with
-            | Collective.Broadcast _ -> Collective.Broadcast (root ())
-            | Collective.Reduce _ -> Collective.Reduce (root ())
-            | Collective.Gather _ -> Collective.Gather (root ())
-            | Collective.Scatter _ -> Collective.Scatter (root ())
-            | Collective.Allreduce | Collective.Allgather
-            | Collective.Reduce_scatter | Collective.Alltoall
-            | Collective.Alltonext | Collective.Custom _ ->
-                k))
-  in
-  let chunk_factor =
-    match kind with Collective.Custom _ -> 1 | _ -> chunk_factor
-  in
-  let proto =
-    match Msccl_topology.Protocol.of_string (attr ctx t "proto") with
-    | Some p -> p
-    | None ->
-        fail_in ctx (attr_pos t "proto") "unknown protocol %S"
-          (attr ctx t "proto")
-  in
-  let collective =
-    try Collective.make kind ~num_ranks ~chunk_factor ~inplace ()
-    with Invalid_argument m -> fail_t ctx t "invalid collective: %s" m
-  in
-  let ir =
-    {
-      Ir.name = attr ctx t "name";
-      collective;
-      proto;
-      gpus = Array.of_list (List.map (gpu_of_tree (push ctx t)) t.children);
-    }
-  in
-  (try Ir.validate ir
-   with Invalid_argument m -> fail_t ctx t "invalid program: %s" m);
-  ir
-
-let to_string ir =
-  Format.asprintf "<?xml version=\"1.0\"?>@.%a@." print_tree (to_tree ir)
-
-let of_string ?file s = of_tree ?file (parse_tree ?file s)
+let to_string ir = Buffer.contents (to_buffer ir)
 
 let save ir path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_string ir))
-
-let load path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let n = in_channel_length ic in
-      of_string ~file:path (really_input_string ic n))
+  Out_channel.with_open_text path (fun oc ->
+      Buffer.output_buffer oc (to_buffer ir))

@@ -520,21 +520,44 @@ let check_sym_compile (c : Case.t) =
 (* ------------------------------------------------------------------ *)
 
 let check_roundtrip (ir : Ir.t) =
+  let module I = Msccl_interop.Ingest in
   let s1 = Xml.to_string ir in
-  let ir2 = Xml.of_string s1 in
-  if not (Ir.equal ir ir2) then
-    fail Roundtrip "parsed IR differs from the printed one"
-  else
-    let s2 = Xml.to_string ir2 in
-    if not (String.equal s1 s2) then
-      fail Roundtrip "second print differs from the first"
-    else Ok ()
+  match I.of_string s1 with
+  | Ok (ir2, []) ->
+      if not (Ir.equal ir ir2) then
+        fail Roundtrip "ingested IR differs from the printed one"
+      else
+        let s2 = Xml.to_string ir2 in
+        if not (String.equal s1 s2) then
+          fail Roundtrip "second print differs from the first"
+        else Ok ()
+  | Ok (_, ds) | Error ds ->
+      fail Roundtrip "ingesting the printed IR drew %d diagnostic(s)%s"
+        (List.length ds)
+        (match ds with d :: _ -> ": " ^ I.diag_to_string d | [] -> "")
 
 (* ------------------------------------------------------------------ *)
 (* Ingest: external-dialect ingestion is total and structured          *)
 (* ------------------------------------------------------------------ *)
 
 let ingest_mangles_per_case = 8
+
+(* On a document that parses, the streaming decode and the replay of its
+   tree must agree: same verdict, same IR, the same diagnostics in the
+   same order. *)
+let check_replay tag doc streamed =
+  let module I = Msccl_interop.Ingest in
+  match Xml.parse_tree ~file:"<mangled>" doc with
+  | exception Xml.Parse_error _ -> Ok ()
+  | t ->
+      let same =
+        match (streamed, I.of_tree ~file:"<mangled>" t) with
+        | Ok (a, wa), Ok (b, wb) -> Ir.equal a b && wa = wb
+        | Error da, Error db -> da = db
+        | Ok _, Error _ | Error _, Ok _ -> false
+      in
+      if same then Ok ()
+      else fail Ingest "%s: streaming ingest and tree replay disagree" tag
 
 let check_ingest (c : Case.t) (ir : Ir.t) =
   let module I = Msccl_interop.Ingest in
@@ -574,30 +597,34 @@ let check_ingest (c : Case.t) (ir : Ir.t) =
       | exception e ->
           fail Ingest "%s: unstructured exception escaped ingestion: %s" tag
             (Printexc.to_string e)
-      | Error [] -> fail Ingest "%s: rejected with no diagnostics" tag
-      | Error ds -> (
-          match
-            List.find_opt
-              (fun d -> d.I.d_severity = I.Error && d.I.d_pos.Xml.line < 1)
-              ds
-          with
-          | Some d ->
-              fail Ingest "%s: rejection without a position: %s" tag
-                (I.diag_to_string d)
-          | None -> sweep (i + 1))
-      | Ok (ir', _) -> (
-          let doc2 = Xml.to_string ir' in
-          match I.of_string ~file:"<reprint>" doc2 with
-          | Ok (ir2, _) when Ir.equal ir' ir2 -> sweep (i + 1)
-          | Ok _ -> fail Ingest "%s: accepted repair does not round-trip" tag
-          | Error ds ->
-              fail Ingest "%s: accepted repair rejected on reprint: %s" tag
-                (match I.errors ds with
-                | d :: _ -> I.diag_to_string d
-                | [] -> "(no diagnostics)")
-          | exception e ->
-              fail Ingest "%s: reprint ingestion raised: %s" tag
-                (Printexc.to_string e))
+      | streamed -> (
+          let* () = check_replay tag mangled streamed in
+          match streamed with
+          | Error [] -> fail Ingest "%s: rejected with no diagnostics" tag
+          | Error ds -> (
+              match
+                List.find_opt
+                  (fun d -> d.I.d_severity = I.Error && d.I.d_pos.Xml.line < 1)
+                  ds
+              with
+              | Some d ->
+                  fail Ingest "%s: rejection without a position: %s" tag
+                    (I.diag_to_string d)
+              | None -> sweep (i + 1))
+          | Ok (ir', _) -> (
+              let doc2 = Xml.to_string ir' in
+              match I.of_string ~file:"<reprint>" doc2 with
+              | Ok (ir2, _) when Ir.equal ir' ir2 -> sweep (i + 1)
+              | Ok _ ->
+                  fail Ingest "%s: accepted repair does not round-trip" tag
+              | Error ds ->
+                  fail Ingest "%s: accepted repair rejected on reprint: %s" tag
+                    (match I.errors ds with
+                    | d :: _ -> I.diag_to_string d
+                    | [] -> "(no diagnostics)")
+              | exception e ->
+                  fail Ingest "%s: reprint ingestion raised: %s" tag
+                    (Printexc.to_string e)))
   in
   sweep 0
 

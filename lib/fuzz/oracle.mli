@@ -35,8 +35,9 @@ type id =
       (** The simulated completion time can never beat the
           {!Msccl_core.Perfcheck} α–β–γ lower-bound certificate. *)
   | Roundtrip
-      (** [Ir -> Xml -> Ir] is lossless ({!Msccl_core.Ir.equal}) and the
-          second print is byte-identical. *)
+      (** [Ir -> Xml -> Ir] through {!Msccl_interop.Ingest} draws no
+          diagnostic, is lossless ({!Msccl_core.Ir.equal}) and the second
+          print is byte-identical. *)
   | Chaos
       (** A benign (timing-only) fault plan drawn from the case's seed
           must leave the simulation able to complete, must not make it
@@ -59,7 +60,10 @@ type id =
           of {!Msccl_interop.Mangle} corruptions of it must each either
           be accepted — and then round-trip stably through print and
           re-ingest — or be rejected with positioned structured
-          diagnostics. No unstructured exception may escape. *)
+          diagnostics. No unstructured exception may escape. On every
+          corruption that parses, the streaming decode and the replay of
+          its parsed tree ({!Msccl_interop.Ingest.of_tree}) must agree:
+          same verdict, same IR, same diagnostics in the same order. *)
 
 val all : id list
 (** In checking order:

@@ -48,9 +48,13 @@ let diags_json ds =
 (* Diagnostic accumulation                                             *)
 (* ------------------------------------------------------------------ *)
 
+(* Enclosing elements, innermost first, as tag and position; rendered
+   "<tag> at FILE:LINE:COL" only when a diagnostic is emitted. *)
+type ctx = (string * Xml.pos) list
+
 type st = { s_file : string; mutable s_diags : diag list (* reversed *) }
 
-let add st sev rule ~pos ~ctx fmt =
+let add st sev rule ~pos ~(ctx : ctx) fmt =
   Format.kasprintf
     (fun m ->
       st.s_diags <-
@@ -60,7 +64,8 @@ let add st sev rule ~pos ~ctx fmt =
           d_message = m;
           d_file = st.s_file;
           d_pos = pos;
-          d_context = ctx;
+          d_context =
+            List.map (fun (tag, p) -> Xml.frame ~file:st.s_file tag p) ctx;
         }
         :: st.s_diags)
     fmt
@@ -71,55 +76,66 @@ let warn st = add st Warning
 
 let failed st = List.exists (fun d -> d.d_severity = Error) st.s_diags
 
-let where ~file (t : Xml.tree) = Xml.frame ~file t.Xml.tag t.Xml.t_pos
-
 (* ------------------------------------------------------------------ *)
 (* Attribute access with aliases                                       *)
 (* ------------------------------------------------------------------ *)
 
-let get (t : Xml.tree) names =
-  List.find_map
-    (fun n -> Option.map (fun v -> (n, v)) (List.assoc_opt n t.Xml.attrs))
-    names
+(* A start event: all the decoder sees of an element. *)
+type el = { tag : string; pos : Xml.pos; attrs : Xml.attr list }
 
-let int_of st ~ctx (t : Xml.tree) (name, v) =
-  match int_of_string_opt (String.trim v) with
+(* The first of [names] present, in the order given. *)
+let rec get t = function
+  | [] -> None
+  | n :: names ->
+      let rec find = function
+        | [] -> get t names
+        | (a : Xml.attr) :: rest ->
+            if String.equal a.Xml.a_name n then Some a else find rest
+      in
+      find t.attrs
+
+let attr_pos t name =
+  match get t [ name ] with Some a -> a.Xml.a_pos | None -> t.pos
+
+let int_of st ~ctx t (a : Xml.attr) =
+  match int_of_string_opt (String.trim a.Xml.a_value) with
   | Some n -> Some n
   | None ->
-      err st "schema" ~pos:(Xml.attr_pos t name) ~ctx
-        "<%s> attribute %s: %S is not an integer" t.Xml.tag name v;
+      err st "schema" ~pos:a.Xml.a_pos ~ctx
+        "<%s> attribute %s: %S is not an integer" t.tag a.Xml.a_name
+        a.Xml.a_value;
       None
 
 let req_int st ~ctx t names =
   match get t names with
   | None ->
-      err st "schema" ~pos:t.Xml.t_pos ~ctx
-        "<%s> is missing the required attribute %s" t.Xml.tag (List.hd names);
+      err st "schema" ~pos:t.pos ~ctx
+        "<%s> is missing the required attribute %s" t.tag (List.hd names);
       None
-  | Some kv -> int_of st ~ctx t kv
+  | Some a -> int_of st ~ctx t a
 
 let opt_int st ~ctx t names ~default =
   match get t names with
   | None -> Some default
-  | Some kv -> int_of st ~ctx t kv
+  | Some a -> int_of st ~ctx t a
 
-let bool_of st ~ctx (t : Xml.tree) (name, v) =
-  match String.lowercase_ascii (String.trim v) with
+let bool_of st ~ctx t (a : Xml.attr) =
+  match String.lowercase_ascii (String.trim a.Xml.a_value) with
   | "1" | "true" -> Some true
   | "0" | "false" -> Some false
   | _ ->
-      err st "schema" ~pos:(Xml.attr_pos t name) ~ctx
-        "<%s> attribute %s: %S is not a boolean (want 0/1/true/false)"
-        t.Xml.tag name v;
+      err st "schema" ~pos:a.Xml.a_pos ~ctx
+        "<%s> attribute %s: %S is not a boolean (want 0/1/true/false)" t.tag
+        a.Xml.a_name a.Xml.a_value;
       None
 
-let warn_unknown_attrs st ~ctx (t : Xml.tree) ~known ~ignored =
+let warn_unknown_attrs st ~ctx t ~known =
   List.iter
-    (fun (k, _) ->
-      if not (List.mem k known || List.mem k ignored) then
-        warn st "unknown-attribute" ~pos:(Xml.attr_pos t k) ~ctx
-          "<%s> has unknown attribute %s (ignored)" t.Xml.tag k)
-    t.Xml.attrs
+    (fun (a : Xml.attr) ->
+      if not (known a.Xml.a_name) then
+        warn st "unknown-attribute" ~pos:a.Xml.a_pos ~ctx
+          "<%s> has unknown attribute %s (ignored)" t.tag a.Xml.a_name)
+    t.attrs
 
 (* ------------------------------------------------------------------ *)
 (* Dialect vocabularies                                                *)
@@ -159,11 +175,11 @@ let with_root kind r =
   | k -> k
 
 (* ------------------------------------------------------------------ *)
-(* Decoded intermediates (trees kept for positioned semantic diags)    *)
+(* Decoded intermediates (positions kept for semantic diagnostics)     *)
 (* ------------------------------------------------------------------ *)
 
 type dstep = {
-  ds_tree : Xml.tree;
+  ds_pos : Xml.pos;
   ds_s : int;
   ds_op : Instr.opcode;
   ds_src : (Buffer_id.t * int) option;
@@ -174,90 +190,93 @@ type dstep = {
 }
 
 type dtb = {
-  dt_tree : Xml.tree;
+  dt_pos : Xml.pos;
   dt_id : int;
   dt_send : int;
   dt_recv : int;
   dt_chan : int;
-  dt_steps : dstep list;
+  dt_steps : dstep array;
 }
 
 type dgpu = {
-  dg_tree : Xml.tree;
+  dg_pos : Xml.pos;
   dg_id : int;
   dg_in : int;  (* -1 = undeclared *)
   dg_out : int;  (* -1 = undeclared *)
   dg_scratch : int;
-  dg_tbs : dtb list;
+  dg_tbs : dtb array;
 }
 
 (* ------------------------------------------------------------------ *)
 (* Step / tb / gpu decoding                                            *)
 (* ------------------------------------------------------------------ *)
 
-let decode_loc st ~ctx (t : Xml.tree) prefix =
+let decode_loc st ~ctx t prefix =
   (* [None] = hard failure (diag recorded); [Some None] = no location. *)
   match get t [ prefix ^ "buf" ] with
   | None -> Some None
-  | Some (name, v) -> (
+  | Some a -> (
+      let v = a.Xml.a_value in
       match String.lowercase_ascii (String.trim v) with
       | "n" | "none" | "" -> Some None
       | b -> (
           match Buffer_id.of_name b with
           | None ->
-              err st "schema" ~pos:(Xml.attr_pos t name) ~ctx
-                "<%s> attribute %s: unknown buffer %S (want i/o/s)" t.Xml.tag
-                name v;
+              err st "schema" ~pos:a.Xml.a_pos ~ctx
+                "<%s> attribute %s: unknown buffer %S (want i/o/s)" t.tag
+                a.Xml.a_name v;
               None
           | Some buf -> (
               match get t [ prefix ^ "off" ] with
               | None ->
-                  err st "schema" ~pos:t.Xml.t_pos ~ctx
-                    "<%s> has %sbuf=%S but no %soff" t.Xml.tag prefix v prefix;
+                  err st "schema" ~pos:t.pos ~ctx
+                    "<%s> has %sbuf=%S but no %soff" t.tag prefix v prefix;
                   None
-              | Some kv -> (
-                  match int_of st ~ctx t kv with
+              | Some o -> (
+                  match int_of st ~ctx t o with
                   | None -> None
                   | Some off when off < 0 ->
-                      err st "range" ~pos:(Xml.attr_pos t (fst kv)) ~ctx
-                        "<%s> attribute %soff: negative offset %d" t.Xml.tag
+                      err st "range" ~pos:o.Xml.a_pos ~ctx
+                        "<%s> attribute %soff: negative offset %d" t.tag
                         prefix off;
                       None
                   | Some off -> Some (Some (buf, off))))))
 
-let decode_ids st ~ctx (t : Xml.tree) name ~default =
+let decode_ids st ~ctx t name ~default =
   match get t [ name ] with
   | None -> Some default
-  | Some (k, v) ->
-      let parts = String.split_on_char ',' v in
-      let ids = List.map (fun s -> int_of_string_opt (String.trim s)) parts in
-      if List.mem None ids then begin
-        err st "schema" ~pos:(Xml.attr_pos t k) ~ctx
-          "<%s> attribute %s: bad id list %S" t.Xml.tag name v;
-        None
-      end
-      else Some (List.map Option.get ids)
+  | Some a -> (
+      let v = a.Xml.a_value in
+      try
+        Some
+          (List.map
+             (fun s -> int_of_string (String.trim s))
+             (String.split_on_char ',' v))
+      with Failure _ ->
+        err st "schema" ~pos:a.Xml.a_pos ~ctx
+          "<%s> attribute %s: bad id list %S" t.tag name v;
+        None)
 
-let decode_step st ~ctx (t : Xml.tree) =
-  let ctx = where ~file:st.s_file t :: ctx in
-  warn_unknown_attrs st ~ctx t
-    ~known:
-      [ "s"; "type"; "srcbuf"; "srcoff"; "dstbuf"; "dstoff"; "cnt"; "count";
-        "depid"; "deps"; "hasdep" ]
-    ~ignored:[];
+let decode_step st ~ctx t =
+  let ctx = ("step", t.pos) :: ctx in
+  warn_unknown_attrs st ~ctx t ~known:(function
+    | "s" | "type" | "srcbuf" | "srcoff" | "dstbuf" | "dstoff" | "cnt"
+    | "count" | "depid" | "deps" | "hasdep" ->
+        true
+    | _ -> false);
   let s = req_int st ~ctx t [ "s" ] in
   let op =
     match get t [ "type" ] with
     | None ->
-        err st "schema" ~pos:t.Xml.t_pos ~ctx
+        err st "schema" ~pos:t.pos ~ctx
           "<step> is missing the required attribute type";
         None
-    | Some (name, v) -> (
-        match opcode_of_dialect v with
+    | Some a -> (
+        match opcode_of_dialect a.Xml.a_value with
         | Some op -> Some op
         | None ->
-            err st "schema" ~pos:(Xml.attr_pos t name) ~ctx
-              "<step> has unknown opcode %S" v;
+            err st "schema" ~pos:a.Xml.a_pos ~ctx
+              "<step> has unknown opcode %S" a.Xml.a_value;
             None)
   in
   let count =
@@ -265,8 +284,8 @@ let decode_step st ~ctx (t : Xml.tree) =
     | Some n when n <= 0 ->
         let pos =
           match get t [ "cnt"; "count" ] with
-          | Some (k, _) -> Xml.attr_pos t k
-          | None -> t.Xml.t_pos
+          | Some a -> a.Xml.a_pos
+          | None -> t.pos
         in
         err st "range" ~pos ~ctx "<step> attribute cnt: nonpositive count %d"
           n;
@@ -284,15 +303,14 @@ let decode_step st ~ctx (t : Xml.tree) =
     | Some tbs, Some steps when List.length tbs = List.length steps ->
         Some (List.combine tbs steps)
     | Some _, Some _ ->
-        err st "schema" ~pos:t.Xml.t_pos ~ctx
-          "<step> depid/deps length mismatch";
+        err st "schema" ~pos:t.pos ~ctx "<step> depid/deps length mismatch";
         None
     | _ -> None
   in
   let has_dep =
     match get t [ "hasdep" ] with
     | None -> Some false
-    | Some kv -> bool_of st ~ctx t kv
+    | Some a -> bool_of st ~ctx t a
   in
   match (s, op, count, src, dst, depends, has_dep) with
   | ( Some s,
@@ -304,7 +322,7 @@ let decode_step st ~ctx (t : Xml.tree) =
       Some has_dep ) ->
       Some
         {
-          ds_tree = t;
+          ds_pos = t.pos;
           ds_s = s;
           ds_op = op;
           ds_src = src;
@@ -315,50 +333,31 @@ let decode_step st ~ctx (t : Xml.tree) =
         }
   | _ -> None (* diagnostics already recorded; drop the step *)
 
-let decode_tb st ~ctx (t : Xml.tree) =
-  let ctx' = where ~file:st.s_file t :: ctx in
-  warn_unknown_attrs st ~ctx:ctx' t ~known:[ "id"; "send"; "recv"; "chan" ]
-    ~ignored:[];
-  let id = req_int st ~ctx:ctx' t [ "id" ] in
-  let send = opt_int st ~ctx:ctx' t [ "send" ] ~default:(-1) in
-  let recv = opt_int st ~ctx:ctx' t [ "recv" ] ~default:(-1) in
-  let chan = opt_int st ~ctx:ctx' t [ "chan" ] ~default:0 in
-  let steps =
-    List.filter_map
-      (fun (c : Xml.tree) ->
-        if c.Xml.tag = "step" then decode_step st ~ctx:ctx' c
-        else begin
-          warn st "unknown-element" ~pos:c.Xml.t_pos ~ctx:ctx'
-            "unknown element <%s> inside <tb> (ignored)" c.Xml.tag;
-          None
-        end)
-      t.Xml.children
-  in
+(* The attributes of a <tb>: id, send, recv, chan. *)
+let tb_head st ~ctx t =
+  warn_unknown_attrs st ~ctx t ~known:(function
+    | "id" | "send" | "recv" | "chan" -> true
+    | _ -> false);
+  let id = req_int st ~ctx t [ "id" ] in
+  let send = opt_int st ~ctx t [ "send" ] ~default:(-1) in
+  let recv = opt_int st ~ctx t [ "recv" ] ~default:(-1) in
+  let chan = opt_int st ~ctx t [ "chan" ] ~default:0 in
   match (id, send, recv, chan) with
-  | Some id, Some send, Some recv, Some chan ->
-      Some
-        {
-          dt_tree = t;
-          dt_id = id;
-          dt_send = send;
-          dt_recv = recv;
-          dt_chan = chan;
-          dt_steps = steps;
-        }
+  | Some id, Some send, Some recv, Some chan -> Some (id, send, recv, chan)
   | _ -> None
 
-let decode_gpu st ~ctx (t : Xml.tree) =
-  let ctx' = where ~file:st.s_file t :: ctx in
-  warn_unknown_attrs st ~ctx:ctx' t
-    ~known:
-      [ "id"; "i_chunks"; "o_chunks"; "s_chunks"; "input_chunks";
-        "output_chunks"; "scratch_chunks" ]
-    ~ignored:[];
-  let id = req_int st ~ctx:ctx' t [ "id" ] in
+(* The attributes of a <gpu>: id and the three buffer sizes. *)
+let gpu_head st ~ctx t =
+  warn_unknown_attrs st ~ctx t ~known:(function
+    | "id" | "i_chunks" | "o_chunks" | "s_chunks" | "input_chunks"
+    | "output_chunks" | "scratch_chunks" ->
+        true
+    | _ -> false);
+  let id = req_int st ~ctx t [ "id" ] in
   let sized names what ~default =
-    match opt_int st ~ctx:ctx' t names ~default with
+    match opt_int st ~ctx t names ~default with
     | Some n when n < default ->
-        err st "range" ~pos:t.Xml.t_pos ~ctx:ctx'
+        err st "range" ~pos:t.pos ~ctx
           "<gpu> declares a negative %s buffer (%d chunks)" what n;
         None
     | x -> x
@@ -366,63 +365,174 @@ let decode_gpu st ~ctx (t : Xml.tree) =
   let i_chunks = sized [ "i_chunks"; "input_chunks" ] "input" ~default:(-1) in
   let o_chunks = sized [ "o_chunks"; "output_chunks" ] "output" ~default:(-1) in
   let s_chunks = sized [ "s_chunks"; "scratch_chunks" ] "scratch" ~default:0 in
-  let tbs =
-    List.filter_map
-      (fun (c : Xml.tree) ->
-        if c.Xml.tag = "tb" then decode_tb st ~ctx:ctx' c
-        else begin
-          warn st "unknown-element" ~pos:c.Xml.t_pos ~ctx:ctx'
-            "unknown element <%s> inside <gpu> (ignored)" c.Xml.tag;
-          None
-        end)
-      t.Xml.children
-  in
   match (id, i_chunks, o_chunks, s_chunks) with
-  | Some id, Some i, Some o, Some s ->
-      Some
-        {
-          dg_tree = t;
-          dg_id = id;
-          dg_in = i;
-          dg_out = o;
-          dg_scratch = s;
-          dg_tbs = tbs;
-        }
+  | Some id, Some i, Some o, Some s -> Some (id, i, o, s)
   | _ -> None
+
+(* The attributes of the <algo> root read before its children: unknown
+   ones, name and protocol. *)
+type algo = { a_el : el; a_ctx : ctx; a_name : string; a_proto : P.t option }
+
+let algo_head st t =
+  let ctx = [ ("algo", t.pos) ] in
+  warn_unknown_attrs st ~ctx t ~known:(function
+    | "name" | "proto" | "protocol" | "nranks" | "ngpus" | "chunk_factor"
+    | "nchunksperloop" | "inplace" | "outofplace" | "coll" | "collective"
+    | "root" | "cname" | "in_chunks" | "out_chunks"
+    (* runtime-only msccl-tools attributes, ignored *)
+    | "nchannels" | "minBytes" | "maxBytes" | "redop" | "version" ->
+        true
+    | _ -> false);
+  let a_name =
+    match get t [ "name" ] with
+    | Some a -> a.Xml.a_value
+    | None ->
+        warn st "default" ~pos:t.pos ~ctx
+          "<algo> has no name attribute; calling it \"imported\"";
+        "imported"
+  in
+  let a_proto =
+    match get t [ "proto"; "protocol" ] with
+    | None ->
+        warn st "default" ~pos:t.pos ~ctx
+          "<algo> has no proto attribute; assuming Simple";
+        Some P.Simple
+    | Some a -> (
+        match P.of_string a.Xml.a_value with
+        | Some p -> Some p
+        | None ->
+            err st "schema" ~pos:a.Xml.a_pos ~ctx
+              "unknown protocol %S (want Simple, LL, LL128 or SCCL)"
+              a.Xml.a_value;
+            None)
+  in
+  { a_el = t; a_ctx = ctx; a_name; a_proto }
+
+(* ------------------------------------------------------------------ *)
+(* Streaming decode: start/end events -> decoded gpus                  *)
+(* ------------------------------------------------------------------ *)
+
+type 'a open_el = {
+  o_pos : Xml.pos;
+  o_ctx : ctx;
+  o_head : (int * int * int * int) option;
+  mutable o_children : 'a list;  (* reversed *)
+}
+
+type frame = Algo of algo | Gpu of dtb open_el | Tb of dstep open_el
+
+type dec = {
+  st : st;
+  mutable frames : frame list;  (* decoded open elements, innermost first *)
+  mutable skip : int;  (* open elements inside an ignored one, itself included *)
+  mutable root : algo option;
+  mutable gpus : dgpu list;  (* reversed *)
+}
+
+let opened st ~ctx tag t head =
+  let o_ctx = (tag, t.pos) :: ctx in
+  { o_pos = t.pos; o_ctx; o_head = head st ~ctx:o_ctx t; o_children = [] }
+
+let unknown d t ~ctx parent =
+  warn d.st "unknown-element" ~pos:t.pos ~ctx
+    "unknown element <%s> inside <%s> (ignored)" t.tag parent;
+  d.skip <- 1
+
+(* Everything inside a <step> or an unknown element is skipped. *)
+let on_start d tag pos attrs =
+  if d.skip > 0 then d.skip <- d.skip + 1
+  else
+    let st = d.st and t = { tag; pos; attrs } in
+    match d.frames with
+    | [] when tag = "algo" ->
+        let a = algo_head st t in
+        d.root <- Some a;
+        d.frames <- [ Algo a ]
+    | [] ->
+        err st "schema" ~pos ~ctx:[] "expected <algo> root element, got <%s>"
+          tag;
+        d.skip <- 1
+    | Algo a :: _ when tag = "gpu" ->
+        d.frames <- Gpu (opened st ~ctx:a.a_ctx "gpu" t gpu_head) :: d.frames
+    | Algo a :: _ -> unknown d t ~ctx:a.a_ctx "algo"
+    | Gpu g :: _ when tag = "tb" ->
+        d.frames <- Tb (opened st ~ctx:g.o_ctx "tb" t tb_head) :: d.frames
+    | Gpu g :: _ -> unknown d t ~ctx:g.o_ctx "gpu"
+    | Tb tb :: _ when tag = "step" ->
+        Option.iter
+          (fun s -> tb.o_children <- s :: tb.o_children)
+          (decode_step st ~ctx:tb.o_ctx t);
+        d.skip <- 1
+    | Tb tb :: _ -> unknown d t ~ctx:tb.o_ctx "tb"
+
+(* Elements whose attributes failed to decode are dropped here, after
+   their children's diagnostics were collected. *)
+let on_end d () =
+  if d.skip > 0 then d.skip <- d.skip - 1
+  else
+    match d.frames with
+    | Tb tb :: (Gpu g :: _ as rest) ->
+        Option.iter
+          (fun (dt_id, dt_send, dt_recv, dt_chan) ->
+            g.o_children <-
+              {
+                dt_pos = tb.o_pos;
+                dt_id;
+                dt_send;
+                dt_recv;
+                dt_chan;
+                dt_steps = Array.of_list (List.rev tb.o_children);
+              }
+              :: g.o_children)
+          tb.o_head;
+        d.frames <- rest
+    | Gpu g :: rest ->
+        Option.iter
+          (fun (dg_id, dg_in, dg_out, dg_scratch) ->
+            d.gpus <-
+              {
+                dg_pos = g.o_pos;
+                dg_id;
+                dg_in;
+                dg_out;
+                dg_scratch;
+                dg_tbs = Array.of_list (List.rev g.o_children);
+              }
+              :: d.gpus)
+          g.o_head;
+        d.frames <- rest
+    | _ :: rest -> d.frames <- rest
+    | [] -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Ordering tolerance: sort by declared id, reject duplicates and gaps *)
 (* ------------------------------------------------------------------ *)
 
-let order st ~ctx ~what ~id ~tree items =
-  let sorted = List.stable_sort (fun a b -> compare (id a) (id b)) items in
+let order st ~ctx ~what ~id ~pos items =
+  Array.stable_sort (fun a b -> Int.compare (id a) (id b)) items;
   let dup = ref false in
-  let rec dups = function
-    | a :: (b :: _ as rest) ->
-        if id a = id b then begin
-          dup := true;
-          err st "schema" ~pos:(tree b).Xml.t_pos ~ctx
-            "duplicate %s id %d (first declared at %s:%d:%d)" what (id a)
-            st.s_file (tree a).Xml.t_pos.Xml.line (tree a).Xml.t_pos.Xml.col
-        end;
-        dups rest
-    | _ -> ()
-  in
-  dups sorted;
+  for i = 1 to Array.length items - 1 do
+    let a = items.(i - 1) and b = items.(i) in
+    if id a = id b then begin
+      dup := true;
+      err st "schema" ~pos:(pos b) ~ctx
+        "duplicate %s id %d (first declared at %s:%d:%d)" what (id a)
+        st.s_file (pos a).Xml.line (pos a).Xml.col
+    end
+  done;
+  (* Report only the first gap; the rest are cascades of it. *)
   if not !dup then begin
-    (* Report only the first gap; the rest are cascades of it. *)
     let reported = ref false in
-    List.iteri
+    Array.iteri
       (fun i x ->
         if (not !reported) && id x <> i then begin
           reported := true;
-          err st "schema" ~pos:(tree x).Xml.t_pos ~ctx
+          err st "schema" ~pos:(pos x) ~ctx
             "%s ids are not contiguous: found id %d where %d was expected"
             what (id x) i
         end)
-      sorted
-  end;
-  sorted
+      items
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Semantic validation over the decoded program                        *)
@@ -433,17 +543,16 @@ let buffer_size (g : dgpu) = function
   | Buffer_id.Output -> g.dg_out
   | Buffer_id.Scratch -> g.dg_scratch
 
-let semantic_checks st ~ctx ~root_pos ~num_ranks (gpus : dgpu list) =
-  List.iter
+let semantic_checks st ~ctx ~root_pos ~num_ranks (gpus : dgpu array) =
+  Array.iter
     (fun g ->
-      let gctx = where ~file:st.s_file g.dg_tree :: ctx in
-      let ntbs = List.length g.dg_tbs in
-      let tb_arr = Array.of_list g.dg_tbs in
+      let gctx = ("gpu", g.dg_pos) :: ctx in
+      let ntbs = Array.length g.dg_tbs in
       let seen_send = Hashtbl.create 8 and seen_recv = Hashtbl.create 8 in
-      List.iter
+      Array.iter
         (fun tb ->
-          let tctx = where ~file:st.s_file tb.dt_tree :: gctx in
-          let tpos = tb.dt_tree.Xml.t_pos in
+          let tctx = ("tb", tb.dt_pos) :: gctx in
+          let tpos = tb.dt_pos in
           if tb.dt_chan < 0 then
             err st "range" ~pos:tpos ~ctx:tctx "<tb> has negative channel %d"
               tb.dt_chan;
@@ -469,8 +578,7 @@ let semantic_checks st ~ctx ~root_pos ~num_ranks (gpus : dgpu list) =
                    "two thread blocks send on connection %d->%d ch%d (first \
                     is tb %d at %s:%d:%d)"
                    g.dg_id tb.dt_send tb.dt_chan first.dt_id st.s_file
-                   first.dt_tree.Xml.t_pos.Xml.line
-                   first.dt_tree.Xml.t_pos.Xml.col
+                   first.dt_pos.Xml.line first.dt_pos.Xml.col
              | None -> Hashtbl.add seen_send key tb);
           (if tb.dt_recv >= 0 then
              let key = (tb.dt_recv, tb.dt_chan) in
@@ -480,13 +588,12 @@ let semantic_checks st ~ctx ~root_pos ~num_ranks (gpus : dgpu list) =
                    "two thread blocks receive on connection %d<-%d ch%d \
                     (first is tb %d at %s:%d:%d)"
                    g.dg_id tb.dt_recv tb.dt_chan first.dt_id st.s_file
-                   first.dt_tree.Xml.t_pos.Xml.line
-                   first.dt_tree.Xml.t_pos.Xml.col
+                   first.dt_pos.Xml.line first.dt_pos.Xml.col
              | None -> Hashtbl.add seen_recv key tb);
-          List.iter
+          Array.iter
             (fun (ds : dstep) ->
-              let sctx = where ~file:st.s_file ds.ds_tree :: tctx in
-              let spos = ds.ds_tree.Xml.t_pos in
+              let sctx = ("step", ds.ds_pos) :: tctx in
+              let spos = ds.ds_pos in
               if Instr.sends ds.ds_op && tb.dt_send < 0 then
                 err st "pairing" ~pos:spos ~ctx:sctx
                   "step %d (%s) sends but its thread block has no send peer"
@@ -523,17 +630,17 @@ let semantic_checks st ~ctx ~root_pos ~num_ranks (gpus : dgpu list) =
                        thread block is implicit)"
                       ds.ds_s
                   else begin
-                    let target = tb_arr.(dtb) in
-                    let tsteps = List.length target.dt_steps in
+                    let target = g.dg_tbs.(dtb).dt_steps in
+                    let tsteps = Array.length target in
                     if dstep < 0 || dstep >= tsteps then
                       err st "range" ~pos:spos ~ctx:sctx
                         "step %d depends on unknown step %d of thread block \
                          %d (which has %d)"
                         ds.ds_s dstep dtb tsteps
                     else
-                      let tgt = List.nth target.dt_steps dstep in
+                      let tgt = target.(dstep) in
                       if not tgt.ds_has_dep then begin
-                        warn st "repair" ~pos:tgt.ds_tree.Xml.t_pos ~ctx:sctx
+                        warn st "repair" ~pos:tgt.ds_pos ~ctx:sctx
                           "step %d of tb %d is a dependency target but not \
                            marked hasdep; marking it"
                           dstep dtb;
@@ -550,11 +657,11 @@ let semantic_checks st ~ctx ~root_pos ~num_ranks (gpus : dgpu list) =
     Hashtbl.replace tbl key
       (1 + Option.value ~default:0 (Hashtbl.find_opt tbl key))
   in
-  List.iter
+  Array.iter
     (fun g ->
-      List.iter
+      Array.iter
         (fun tb ->
-          List.iter
+          Array.iter
             (fun (ds : dstep) ->
               if Instr.sends ds.ds_op && tb.dt_send >= 0 then
                 bump sends (g.dg_id, tb.dt_send, tb.dt_chan);
@@ -583,7 +690,7 @@ let semantic_checks st ~ctx ~root_pos ~num_ranks (gpus : dgpu list) =
 (* Building the certified IR                                           *)
 (* ------------------------------------------------------------------ *)
 
-let build_ir ~name ~collective ~proto (gpus : dgpu list) =
+let build_ir ~name ~collective ~proto (gpus : dgpu array) =
   let step_of g (ds : dstep) =
     let loc = function
       | None -> None
@@ -606,7 +713,7 @@ let build_ir ~name ~collective ~proto (gpus : dgpu list) =
       send = tb.dt_send;
       recv = tb.dt_recv;
       chan = tb.dt_chan;
-      steps = Array.of_list (List.map (step_of g) tb.dt_steps);
+      steps = Array.map (step_of g) tb.dt_steps;
     }
   in
   let gpu_of g =
@@ -615,299 +722,245 @@ let build_ir ~name ~collective ~proto (gpus : dgpu list) =
       input_chunks = g.dg_in;
       output_chunks = g.dg_out;
       scratch_chunks = g.dg_scratch;
-      tbs = Array.of_list (List.map (tb_of g) g.dg_tbs);
+      tbs = Array.map (tb_of g) g.dg_tbs;
     }
   in
-  { Ir.name; collective; proto; gpus = Array.of_list (List.map gpu_of gpus) }
+  { Ir.name; collective; proto; gpus = Array.map gpu_of gpus }
 
 (* ------------------------------------------------------------------ *)
-(* Root decoding                                                       *)
+(* Root decoding, once the whole document has been read                *)
 (* ------------------------------------------------------------------ *)
 
-let of_tree ?(file = "<string>") (t : Xml.tree) =
-  let st = { s_file = file; s_diags = [] } in
+let finish_root st (a : algo) (gpus : dgpu array) =
   let finish () = List.rev st.s_diags in
-  if t.Xml.tag <> "algo" then begin
-    err st "schema" ~pos:t.Xml.t_pos ~ctx:[]
-      "expected <algo> root element, got <%s>" t.Xml.tag;
-    Result.Error (finish ())
-  end
-  else begin
-    let ctx = [ where ~file t ] in
-    let root_pos = t.Xml.t_pos in
-    warn_unknown_attrs st ~ctx t
-      ~known:
-        [ "name"; "proto"; "protocol"; "nranks"; "ngpus"; "chunk_factor";
-          "nchunksperloop"; "inplace"; "outofplace"; "coll"; "collective";
-          "root"; "cname"; "in_chunks"; "out_chunks" ]
-      ~ignored:[ "nchannels"; "minBytes"; "maxBytes"; "redop"; "version" ];
-    let name =
-      match get t [ "name" ] with
-      | Some (_, v) -> v
-      | None ->
-          warn st "default" ~pos:root_pos ~ctx
-            "<algo> has no name attribute; calling it \"imported\"";
-          "imported"
-    in
-    let proto =
-      match get t [ "proto"; "protocol" ] with
-      | None ->
-          warn st "default" ~pos:root_pos ~ctx
-            "<algo> has no proto attribute; assuming Simple";
-          Some P.Simple
-      | Some (k, v) -> (
-          match P.of_string v with
-          | Some p -> Some p
-          | None ->
-              err st "schema" ~pos:(Xml.attr_pos t k) ~ctx
-                "unknown protocol %S (want Simple, LL, LL128 or SCCL)" v;
-              None)
-    in
-    (* GPUs first: the rank count may have to come from them. *)
-    let gpus =
-      List.filter_map
-        (fun (c : Xml.tree) ->
-          if c.Xml.tag = "gpu" then decode_gpu st ~ctx c
-          else begin
-            warn st "unknown-element" ~pos:c.Xml.t_pos ~ctx
-              "unknown element <%s> inside <algo> (ignored)" c.Xml.tag;
+  let t = a.a_el and ctx = a.a_ctx and name = a.a_name and proto = a.a_proto in
+  let root_pos = t.pos in
+  let num_ranks =
+    match (get t [ "nranks" ], get t [ "ngpus" ]) with
+    | Some kv, None | None, Some kv -> (
+        match int_of st ~ctx t kv with
+        | Some n when n <= 0 ->
+            err st "range" ~pos:kv.Xml.a_pos ~ctx "nonpositive rank count %d" n;
             None
-          end)
-        t.Xml.children
-    in
-    let num_ranks =
-      match (get t [ "nranks" ], get t [ "ngpus" ]) with
-      | Some kv, None | None, Some kv -> (
-          match int_of st ~ctx t kv with
-          | Some n when n <= 0 ->
-              err st "range" ~pos:(Xml.attr_pos t (fst kv)) ~ctx
-                "nonpositive rank count %d" n;
-              None
-          | x -> x)
-      | Some a, Some b -> (
-          match (int_of st ~ctx t a, int_of st ~ctx t b) with
-          | Some x, Some y when x <> y ->
-              err st "schema" ~pos:(Xml.attr_pos t (fst b)) ~ctx
-                "nranks=%d and ngpus=%d disagree" x y;
-              None
-          | x, _ -> x)
-      | None, None ->
-          warn st "default" ~pos:root_pos ~ctx
-            "<algo> declares no nranks/ngpus; using the %d <gpu> element(s)"
-            (List.length gpus);
-          Some (List.length gpus)
-    in
-    let kind =
-      match get t [ "coll"; "collective" ] with
-      | None ->
-          err st "schema" ~pos:root_pos ~ctx
-            "<algo> is missing the required attribute coll";
-          None
-      | Some (_, "custom") -> (
-          let cname =
-            match get t [ "cname" ] with Some (_, v) -> v | None -> "custom"
-          in
-          match
-            ( req_int st ~ctx t [ "in_chunks" ],
-              req_int st ~ctx t [ "out_chunks" ] )
-          with
-          | Some i, Some o when i > 0 && o > 0 ->
-              Some
-                (Collective.Custom
-                   {
-                     Collective.custom_name = cname;
-                     input_chunks = i;
-                     output_chunks = o;
-                     expected = (fun ~rank:_ ~index:_ -> None);
-                     initial = None;
-                   })
-          | Some i, Some o ->
-              err st "range" ~pos:root_pos ~ctx
-                "custom collective with empty buffers (in=%d out=%d)" i o;
-              None
-          | _ -> None)
-      | Some (k, v) -> (
-          match Collective.kind_of_name v with
-          | None ->
-              err st "schema" ~pos:(Xml.attr_pos t k) ~ctx
-                "unknown collective %S" v;
-              None
-          | Some kind when not (rooted kind) -> Some kind
-          | Some kind -> (
-              let root =
-                match get t [ "root" ] with
-                | None ->
-                    warn st "default" ~pos:root_pos ~ctx
-                      "rooted collective %S has no root attribute; assuming \
-                       root 0"
-                      v;
-                    Some 0
-                | Some kv -> int_of st ~ctx t kv
-              in
-              match root with
-              | None -> None
-              | Some r ->
-                  (match num_ranks with
-                  | Some n when r < 0 || r >= n ->
-                      err st "range" ~pos:(Xml.attr_pos t "root") ~ctx
-                        "root %d is out of range (%d ranks)" r n
-                  | _ -> ());
-                  Some (with_root kind r)))
-    in
-    let chunk_factor =
-      match kind with
-      | Some (Collective.Custom _) -> Some 1
-      | _ -> (
-          match (get t [ "chunk_factor" ], get t [ "nchunksperloop" ]) with
-          | Some kv, _ -> (
-              match int_of st ~ctx t kv with
-              | Some n when n <= 0 ->
-                  err st "range" ~pos:(Xml.attr_pos t (fst kv)) ~ctx
-                    "nonpositive chunk_factor %d" n;
-                  None
-              | x -> x)
-          | None, Some kv -> (
-              (* msccl-tools declares total chunks per loop; for
-                 collectives whose input is ranks-wide, that is
-                 chunk_factor * nranks. *)
-              match (int_of st ~ctx t kv, kind, num_ranks) with
-              | Some n, _, _ when n <= 0 ->
-                  err st "range" ~pos:(Xml.attr_pos t (fst kv)) ~ctx
-                    "nonpositive nchunksperloop %d" n;
-                  None
-              | Some n, Some k, Some ranks when ranks > 0 ->
-                  let divisor =
-                    match k with
-                    | Collective.Reduce_scatter | Collective.Alltoall
-                    | Collective.Scatter _ ->
-                        ranks
-                    | _ -> 1
-                  in
-                  if n mod divisor <> 0 then begin
-                    err st "schema" ~pos:(Xml.attr_pos t (fst kv)) ~ctx
-                      "nchunksperloop %d is not divisible by the rank count \
-                       %d"
-                      n divisor;
-                    None
-                  end
-                  else Some (n / divisor)
-              | x, _, _ -> x)
-          | None, None ->
-              warn st "default" ~pos:root_pos ~ctx
-                "<algo> declares no chunk_factor/nchunksperloop; assuming 1";
-              Some 1)
-    in
-    let inplace =
-      match (get t [ "inplace" ], get t [ "outofplace" ]) with
-      | Some kv, _ -> bool_of st ~ctx t kv
-      | None, Some kv -> Option.map not (bool_of st ~ctx t kv)
-      | None, None ->
-          warn st "default" ~pos:root_pos ~ctx
-            "<algo> declares neither inplace nor outofplace; assuming \
-             out-of-place";
-          Some false
-    in
-    (* Ordering tolerance: match gpus/tbs/steps by declared id. *)
-    let gpus =
-      order st ~ctx ~what:"gpu"
-        ~id:(fun g -> g.dg_id)
-        ~tree:(fun g -> g.dg_tree)
-        gpus
-    in
-    let gpus =
-      List.map
-        (fun g ->
-          let gctx = where ~file g.dg_tree :: ctx in
-          let tbs =
-            order st ~ctx:gctx ~what:"tb"
-              ~id:(fun tb -> tb.dt_id)
-              ~tree:(fun tb -> tb.dt_tree)
-              g.dg_tbs
-          in
-          let tbs =
-            List.map
-              (fun tb ->
-                let tctx = where ~file tb.dt_tree :: gctx in
-                let steps =
-                  order st ~ctx:tctx ~what:"step"
-                    ~id:(fun s -> s.ds_s)
-                    ~tree:(fun s -> s.ds_tree)
-                    tb.dt_steps
-                in
-                { tb with dt_steps = steps })
-              tbs
-          in
-          { g with dg_tbs = tbs })
-        gpus
-    in
-    (match num_ranks with
-    | Some n when gpus <> [] && n <> List.length gpus ->
+        | x -> x)
+    | Some a, Some b -> (
+        match (int_of st ~ctx t a, int_of st ~ctx t b) with
+        | Some x, Some y when x <> y ->
+            err st "schema" ~pos:b.Xml.a_pos ~ctx
+              "nranks=%d and ngpus=%d disagree" x y;
+            None
+        | x, _ -> x)
+    | None, None ->
+        warn st "default" ~pos:root_pos ~ctx
+          "<algo> declares no nranks/ngpus; using the %d <gpu> element(s)"
+          (Array.length gpus);
+        Some (Array.length gpus)
+  in
+  let kind =
+    match get t [ "coll"; "collective" ] with
+    | None ->
         err st "schema" ~pos:root_pos ~ctx
-          "<algo> declares %d rank(s) but has %d <gpu> element(s)" n
-          (List.length gpus)
-    | _ -> ());
-    if gpus = [] then
-      err st "schema" ~pos:root_pos ~ctx "<algo> has no <gpu> elements";
-    if failed st then Result.Error (finish ())
-    else
-      let num_ranks = Option.value ~default:(List.length gpus) num_ranks in
-      let collective =
-        match (kind, chunk_factor, inplace) with
-        | Some kind, Some chunk_factor, Some inplace -> (
-            try
-              Some (Collective.make kind ~num_ranks ~chunk_factor ~inplace ())
-            with Invalid_argument m ->
-              err st "validate" ~pos:root_pos ~ctx "invalid collective: %s" m;
-              None)
-        | _ -> None
-      in
-      match (collective, proto) with
-      | Some collective, Some proto -> (
-          (* Resolve undeclared buffer sizes to the collective footprint
-             and reject declared ones that cannot hold it (positioned
-             pre-check of what Ir.validate would reject blindly). *)
-          let need_in = Collective.input_buffer_size collective in
-          let need_out = Collective.output_buffer_size collective in
-          let gpus =
-            List.map
-              (fun g ->
-                let gctx = where ~file g.dg_tree :: ctx in
-                if g.dg_in >= 0 && g.dg_in < need_in then
-                  err st "range" ~pos:g.dg_tree.Xml.t_pos ~ctx:gctx
-                    "gpu %d declares %d input chunk(s) but the collective \
-                     needs %d"
-                    g.dg_id g.dg_in need_in;
-                if g.dg_out >= 0 && g.dg_out < need_out then
-                  err st "range" ~pos:g.dg_tree.Xml.t_pos ~ctx:gctx
-                    "gpu %d declares %d output chunk(s) but the collective \
-                     needs %d"
-                    g.dg_id g.dg_out need_out;
-                {
-                  g with
-                  dg_in = (if g.dg_in >= 0 then g.dg_in else need_in);
-                  dg_out = (if g.dg_out >= 0 then g.dg_out else need_out);
-                })
-              gpus
-          in
+          "<algo> is missing the required attribute coll";
+        None
+    | Some { Xml.a_value = "custom"; _ } -> (
+        let cname =
+          match get t [ "cname" ] with Some c -> c.Xml.a_value | None -> "custom"
+        in
+        match
+          ( req_int st ~ctx t [ "in_chunks" ],
+            req_int st ~ctx t [ "out_chunks" ] )
+        with
+        | Some i, Some o when i > 0 && o > 0 ->
+            Some
+              (Collective.Custom
+                 {
+                   Collective.custom_name = cname;
+                   input_chunks = i;
+                   output_chunks = o;
+                   expected = (fun ~rank:_ ~index:_ -> None);
+                   initial = None;
+                 })
+        | Some i, Some o ->
+            err st "range" ~pos:root_pos ~ctx
+              "custom collective with empty buffers (in=%d out=%d)" i o;
+            None
+        | _ -> None)
+    | Some c -> (
+        let v = c.Xml.a_value in
+        match Collective.kind_of_name v with
+        | None ->
+            err st "schema" ~pos:c.Xml.a_pos ~ctx "unknown collective %S" v;
+            None
+        | Some kind when not (rooted kind) -> Some kind
+        | Some kind -> (
+            let root =
+              match get t [ "root" ] with
+              | None ->
+                  warn st "default" ~pos:root_pos ~ctx
+                    "rooted collective %S has no root attribute; assuming \
+                     root 0"
+                    v;
+                  Some 0
+              | Some r -> int_of st ~ctx t r
+            in
+            match root with
+            | None -> None
+            | Some r ->
+                (match num_ranks with
+                | Some n when r < 0 || r >= n ->
+                    err st "range" ~pos:(attr_pos t "root") ~ctx
+                      "root %d is out of range (%d ranks)" r n
+                | _ -> ());
+                Some (with_root kind r)))
+  in
+  let chunk_factor =
+    match kind with
+    | Some (Collective.Custom _) -> Some 1
+    | _ -> (
+        match (get t [ "chunk_factor" ], get t [ "nchunksperloop" ]) with
+        | Some kv, _ -> (
+            match int_of st ~ctx t kv with
+            | Some n when n <= 0 ->
+                err st "range" ~pos:kv.Xml.a_pos ~ctx
+                  "nonpositive chunk_factor %d" n;
+                None
+            | x -> x)
+        | None, Some kv -> (
+            (* msccl-tools declares total chunks per loop; for
+               collectives whose input is ranks-wide, that is
+               chunk_factor * nranks. *)
+            match (int_of st ~ctx t kv, kind, num_ranks) with
+            | Some n, _, _ when n <= 0 ->
+                err st "range" ~pos:kv.Xml.a_pos ~ctx
+                  "nonpositive nchunksperloop %d" n;
+                None
+            | Some n, Some k, Some ranks when ranks > 0 ->
+                let divisor =
+                  match k with
+                  | Collective.Reduce_scatter | Collective.Alltoall
+                  | Collective.Scatter _ ->
+                      ranks
+                  | _ -> 1
+                in
+                if n mod divisor <> 0 then begin
+                  err st "schema" ~pos:kv.Xml.a_pos ~ctx
+                    "nchunksperloop %d is not divisible by the rank count %d"
+                    n divisor;
+                  None
+                end
+                else Some (n / divisor)
+            | x, _, _ -> x)
+        | None, None ->
+            warn st "default" ~pos:root_pos ~ctx
+              "<algo> declares no chunk_factor/nchunksperloop; assuming 1";
+            Some 1)
+  in
+  let inplace =
+    match (get t [ "inplace" ], get t [ "outofplace" ]) with
+    | Some kv, _ -> bool_of st ~ctx t kv
+    | None, Some kv -> Option.map not (bool_of st ~ctx t kv)
+    | None, None ->
+        warn st "default" ~pos:root_pos ~ctx
+          "<algo> declares neither inplace nor outofplace; assuming \
+           out-of-place";
+        Some false
+  in
+  (* Ordering tolerance: match gpus/tbs/steps by declared id. *)
+  order st ~ctx ~what:"gpu" ~id:(fun g -> g.dg_id) ~pos:(fun g -> g.dg_pos) gpus;
+  Array.iter
+    (fun g ->
+      let gctx = ("gpu", g.dg_pos) :: ctx in
+      order st ~ctx:gctx ~what:"tb"
+        ~id:(fun tb -> tb.dt_id)
+        ~pos:(fun tb -> tb.dt_pos)
+        g.dg_tbs;
+      Array.iter
+        (fun tb ->
+          order st
+            ~ctx:(("tb", tb.dt_pos) :: gctx)
+            ~what:"step"
+            ~id:(fun s -> s.ds_s)
+            ~pos:(fun s -> s.ds_pos)
+            tb.dt_steps)
+        g.dg_tbs)
+    gpus;
+  let ngpus = Array.length gpus in
+  (match num_ranks with
+  | Some n when ngpus > 0 && n <> ngpus ->
+      err st "schema" ~pos:root_pos ~ctx
+        "<algo> declares %d rank(s) but has %d <gpu> element(s)" n ngpus
+  | _ -> ());
+  if ngpus = 0 then
+    err st "schema" ~pos:root_pos ~ctx "<algo> has no <gpu> elements";
+  if failed st then Result.Error (finish ())
+  else
+    let num_ranks = Option.value ~default:ngpus num_ranks in
+    let collective =
+      match (kind, chunk_factor, inplace) with
+      | Some kind, Some chunk_factor, Some inplace -> (
+          try Some (Collective.make kind ~num_ranks ~chunk_factor ~inplace ())
+          with Invalid_argument m ->
+            err st "validate" ~pos:root_pos ~ctx "invalid collective: %s" m;
+            None)
+      | _ -> None
+    in
+    match (collective, proto) with
+    | Some collective, Some proto -> (
+        (* Resolve undeclared buffer sizes to the collective footprint
+           and reject declared ones that cannot hold it (positioned
+           pre-check of what Ir.validate would reject blindly). *)
+        let need_in = Collective.input_buffer_size collective in
+        let need_out = Collective.output_buffer_size collective in
+        let gpus =
+          Array.map
+            (fun g ->
+              let gctx = ("gpu", g.dg_pos) :: ctx in
+              if g.dg_in >= 0 && g.dg_in < need_in then
+                err st "range" ~pos:g.dg_pos ~ctx:gctx
+                  "gpu %d declares %d input chunk(s) but the collective \
+                   needs %d"
+                  g.dg_id g.dg_in need_in;
+              if g.dg_out >= 0 && g.dg_out < need_out then
+                err st "range" ~pos:g.dg_pos ~ctx:gctx
+                  "gpu %d declares %d output chunk(s) but the collective \
+                   needs %d"
+                  g.dg_id g.dg_out need_out;
+              {
+                g with
+                dg_in = (if g.dg_in >= 0 then g.dg_in else need_in);
+                dg_out = (if g.dg_out >= 0 then g.dg_out else need_out);
+              })
+            gpus
+        in
+        if failed st then Result.Error (finish ())
+        else begin
+          semantic_checks st ~ctx ~root_pos ~num_ranks gpus;
           if failed st then Result.Error (finish ())
-          else begin
-            semantic_checks st ~ctx ~root_pos ~num_ranks gpus;
-            if failed st then Result.Error (finish ())
-            else
-              let ir = build_ir ~name ~collective ~proto gpus in
-              try
-                Ir.validate ir;
-                Result.Ok (ir, finish ())
-              with Invalid_argument m ->
-                err st "validate" ~pos:root_pos ~ctx "invalid program: %s" m;
-                Result.Error (finish ())
-          end)
-      | _ -> Result.Error (finish ())
-  end
+          else
+            let ir = build_ir ~name ~collective ~proto gpus in
+            try
+              Ir.validate ir;
+              Result.Ok (ir, finish ())
+            with Invalid_argument m ->
+              err st "validate" ~pos:root_pos ~ctx "invalid program: %s" m;
+              Result.Error (finish ())
+        end)
+    | _ -> Result.Error (finish ())
 
-let of_string ?(file = "<string>") s =
-  match Xml.parse_tree ~file s with
-  | t -> of_tree ~file t
+(* ------------------------------------------------------------------ *)
+(* Entry points                                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* Runs the decoder over the events [feed] emits; a parse error discards
+   everything decoded so far and is the only diagnostic. *)
+let decode ~file feed =
+  let st = { s_file = file; s_diags = [] } in
+  let d = { st; frames = []; skip = 0; root = None; gpus = [] } in
+  match feed ~on_start:(on_start d) ~on_end:(on_end d) with
+  | () -> (
+      match d.root with
+      | None -> Result.Error (List.rev st.s_diags)
+      | Some a -> finish_root st a (Array.of_list (List.rev d.gpus)))
   | exception Xml.Parse_error e ->
       Result.Error
         [
@@ -920,6 +973,19 @@ let of_string ?(file = "<string>") s =
             d_context = e.Xml.e_context;
           };
         ]
+
+let of_string ?(file = "<string>") s = decode ~file (Xml.lex ~file s)
+
+let of_tree ?(file = "<string>") t =
+  let rec replay ~on_start ~on_end (t : Xml.tree) =
+    on_start t.Xml.tag t.Xml.t_pos
+      (List.map
+         (fun (k, v) -> { Xml.a_name = k; a_value = v; a_pos = Xml.attr_pos t k })
+         t.Xml.attrs);
+    List.iter (replay ~on_start ~on_end) t.Xml.children;
+    on_end ()
+  in
+  decode ~file (replay t)
 
 let load path =
   match

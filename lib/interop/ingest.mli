@@ -1,12 +1,12 @@
-(** Tolerant, diagnostics-collecting ingestion of external MSCCL XML.
+(** The one decoder of MSCCL XML: tolerant, diagnostics-collecting, and
+    used for the repo's own files and for external ones alike.
 
-    {!Msccl_core.Xml.of_tree} is the strict decoder for the repo's own
-    dialect: first error wins. Real MSCCL programs come from the
-    msccl-tools/TACCL toolchain in a dialect with extra attributes
-    ([ngpus], [nchunksperloop], [nchannels], [outofplace], long opcode and
-    buffer names...) and no ordering guarantees, and a production service
-    must treat such files as untrusted input. This module is that
-    boundary: a schema-validated decoder that
+    Real MSCCL programs come from the msccl-tools/TACCL toolchain in a
+    dialect with extra attributes ([ngpus], [nchunksperloop],
+    [nchannels], [outofplace], long opcode and buffer names...) and no
+    ordering guarantees, and a production service must treat such files
+    as untrusted input. This module is that boundary: a schema-validated
+    decoder that
 
     - tolerates unknown attributes and unknown elements (warning
       diagnostics, never failures),
@@ -22,6 +22,13 @@
       references in range, buffer bounds, send/recv pairing) before
       handing a certified {!Msccl_core.Ir.t} — one that passed
       {!Msccl_core.Ir.validate} — to the analysis pipeline.
+
+    Decoding consumes {!Msccl_core.Xml.lex}'s start/end events directly:
+    no tree is built, decoded elements keep only their positions, and
+    context frames are rendered only for the diagnostics emitted.
+    {!of_tree} replays a tree as the same events into the same decoder.
+    What {!Msccl_core.Xml.to_string} prints ingests back with no
+    diagnostic and [Ir.equal] to the printed IR.
 
     {!of_string} never raises on any input, hostile or otherwise: every
     rejection is a structured diagnostic (the [ingest] fuzz oracle holds
@@ -58,14 +65,17 @@ val diags_json : diag list -> string
     the machine-readable shape [msccl verify/lint/analyze FILE --json]
     emit on unusable input (exit 2). *)
 
-val of_tree : ?file:string -> Xml.tree -> (Ir.t * diag list, diag list) result
+val of_string : ?file:string -> string -> (Ir.t * diag list, diag list) result
 (** [Ok (ir, warnings)] on acceptance — [ir] passed semantic validation
     and {!Msccl_core.Ir.validate} — or [Error diags] with at least one
-    [Error]-severity diagnostic. *)
+    [Error]-severity diagnostic. Decodes in the same pass as
+    {!Msccl_core.Xml.lex}; a parse error becomes the single structured
+    ["parse"] diagnostic. Never raises. *)
 
-val of_string : ?file:string -> string -> (Ir.t * diag list, diag list) result
-(** {!Msccl_core.Xml.parse_tree} followed by {!of_tree}; parse errors are
-    converted into a single structured ["parse"] diagnostic. Never raises. *)
+val of_tree : ?file:string -> Xml.tree -> (Ir.t * diag list, diag list) result
+(** The {!of_string} decoder fed from a tree instead of the lexer: on a
+    tree from {!Msccl_core.Xml.parse_tree}, the same result and the same
+    diagnostics as {!of_string} on its source. *)
 
 val load : string -> (Ir.t * diag list, diag list) result
 (** Reads and ingests a file; unreadable files become a ["io"]

@@ -153,7 +153,7 @@ let tree_mangle r (t : Xml.tree) =
             what := Printf.sprintf "add unknown element inside <%s>" n.Xml.tag;
             { n with Xml.children = n.Xml.children @ [ Xml.el "mangled" [] [] ] })
   in
-  (Format.asprintf "%a" Xml.print_tree t', !what)
+  (Xml.tree_to_string t', !what)
 
 (* ------------------------------------------------------------------ *)
 

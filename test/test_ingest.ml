@@ -87,13 +87,16 @@ let test_dialect_corpus () =
       match I.of_string ~file:path (read_file path) with
       | Error ds ->
           Alcotest.failf "%s rejected:\n%s" f (I.diags_to_string ds)
-      | Ok (ir, _) ->
-          (* the certified IR is also accepted by the strict decoder's
-             printer pipeline *)
-          let doc = Xml.to_string ir in
-          let ir2 = Xml.of_string doc in
-          Alcotest.(check bool)
-            (f ^ " round-trips") true (Testutil.ir_equal ir ir2))
+      | Ok (ir, _) -> (
+          (* the certified IR prints as our own dialect, which ingests
+             back without a single diagnostic *)
+          match I.of_string (Xml.to_string ir) with
+          | Ok (ir2, []) ->
+              Alcotest.(check bool)
+                (f ^ " round-trips") true (Testutil.ir_equal ir ir2)
+          | Ok (_, ds) | Error ds ->
+              Alcotest.failf "%s reprint drew diagnostics:\n%s" f
+                (I.diags_to_string ds)))
     files
 
 (* ------------------------------------------------------------------ *)
@@ -142,7 +145,7 @@ let test_reorder_tolerance () =
           t.Xml.children;
     }
   in
-  let doc = Format.asprintf "%a" Xml.print_tree t in
+  let doc = Xml.tree_to_string t in
   let ir2, ws = ingest_ok ~what:"reordered" doc in
   Alcotest.(check bool) "reordered IR equal" true (Testutil.ir_equal ir ir2);
   Alcotest.(check int) "no warnings" 0 (List.length ws)
@@ -172,7 +175,7 @@ let test_aliases_and_dialect () =
 let test_unknown_attr_warning () =
   let t = Xml.parse_tree base_doc in
   let t = { t with Xml.attrs = t.Xml.attrs @ [ ("vendor", "x") ] } in
-  let doc = Format.asprintf "%a" Xml.print_tree t in
+  let doc = Xml.tree_to_string t in
   let _, ws = ingest_ok doc in
   match ws with
   | [ w ] ->
@@ -282,6 +285,115 @@ let test_duplicate_attribute_positions () =
   | _ -> Alcotest.fail "expected duplicate-attribute error"
 
 (* ------------------------------------------------------------------ *)
+(* One decoder: streaming and tree replay agree                         *)
+(* ------------------------------------------------------------------ *)
+
+let test_stream_equals_replay () =
+  List.iter
+    (fun dir ->
+      List.iter
+        (fun f ->
+          let path = Filename.concat dir f in
+          let doc = read_file path in
+          match Xml.parse_tree ~file:path doc with
+          | exception Xml.Parse_error _ -> ()
+          | t -> (
+              match (I.of_string ~file:path doc, I.of_tree ~file:path t) with
+              | Ok (a, wa), Ok (b, wb) ->
+                  Alcotest.(check bool) (f ^ " same IR") true (Ir.equal a b);
+                  Alcotest.(check string)
+                    (f ^ " same warnings") (I.diags_to_string wa)
+                    (I.diags_to_string wb)
+              | Error da, Error db ->
+                  Alcotest.(check string)
+                    (f ^ " same diagnostics") (I.diags_to_string da)
+                    (I.diags_to_string db)
+              | _ -> Alcotest.failf "%s: streaming and replay verdicts differ" f))
+        (list_xml dir))
+    [ bad_dir; dialect_dir ]
+
+(* ------------------------------------------------------------------ *)
+(* Bounded time on deep nesting                                         *)
+(* ------------------------------------------------------------------ *)
+
+let nested ?(prefix = "") ?(suffix = "") depth =
+  let b = Buffer.create ((7 * depth) + 512) in
+  Buffer.add_string b prefix;
+  for _ = 1 to depth do
+    Buffer.add_string b "<a>"
+  done;
+  for _ = 1 to depth do
+    Buffer.add_string b "</a>"
+  done;
+  Buffer.add_string b suffix;
+  Buffer.contents b
+
+let test_deep_root () =
+  match I.of_string ~file:"deep.xml" (nested 1_000_000) with
+  | Ok _ -> Alcotest.fail "expected rejection"
+  | Error [ d ] ->
+      Alcotest.(check string)
+        "diagnostic"
+        "deep.xml:1:1: error[schema]: expected <algo> root element, got <a>"
+        (I.diag_to_string d)
+  | Error ds -> Alcotest.failf "expected one diagnostic, got %d" (List.length ds)
+
+let test_deep_inside_algo () =
+  let doc =
+    nested
+      ~prefix:
+        {|<algo name="t" coll="allgather" nranks="1" chunk_factor="1" inplace="0" proto="Simple">|}
+      ~suffix:"</algo>" 1_000_000
+  in
+  match I.of_string ~file:"deep.xml" doc with
+  | Ok _ -> Alcotest.fail "expected rejection"
+  | Error ds ->
+      Alcotest.(check (list string))
+        "diagnostics"
+        [
+          "deep.xml:1:88: warning[unknown-element]: unknown element <a> \
+           inside <algo> (ignored)\n\
+          \  in <algo> at deep.xml:1:1";
+          "deep.xml:1:1: error[schema]: <algo> has no <gpu> elements\n\
+          \  in <algo> at deep.xml:1:1";
+        ]
+        (List.map I.diag_to_string ds)
+
+(* ------------------------------------------------------------------ *)
+(* Dependency-heavy programs                                            *)
+(* ------------------------------------------------------------------ *)
+
+let test_dependency_heavy () =
+  List.iter
+    (fun (what, ir, dependent) ->
+      let n =
+        Array.fold_left
+          (fun n (g : Ir.gpu) ->
+            Array.fold_left
+              (fun n (tb : Ir.tb) ->
+                Array.fold_left
+                  (fun n (st : Ir.step) ->
+                    if st.Ir.depends <> [] then n + 1 else n)
+                  n tb.Ir.steps)
+              n g.Ir.tbs)
+          0 ir.Ir.gpus
+      in
+      Alcotest.(check int) (what ^ " dependent steps") dependent n;
+      match I.of_string ~file:what (Xml.to_string ir) with
+      | Ok (ir', []) ->
+          Alcotest.(check bool) (what ^ " Ir.equal") true (Ir.equal ir ir')
+      | Ok (_, ds) | Error ds ->
+          Alcotest.failf "%s drew diagnostics:\n%s" what (I.diags_to_string ds))
+    [
+      ( "allpairs-allreduce@64",
+        A.Allpairs_allreduce.ir ~verify:false ~num_ranks:64 (),
+        7936 );
+      ( "hierarchical-allreduce@64",
+        A.Hierarchical_allreduce.ir ~verify:false ~nodes:8 ~gpus_per_node:8 (),
+        4672 );
+    ]
+
+(* ------------------------------------------------------------------ *)
 (* Hostile-input totality: the >= 500-case acceptance gate              *)
 (* ------------------------------------------------------------------ *)
 
@@ -353,4 +465,11 @@ let () =
         ] );
       ( "hostile",
         [ Testutil.tc "520-case mangle sweep" test_hostility_sweep ] );
+      ( "decoder",
+        [
+          Testutil.tc "streaming equals tree replay" test_stream_equals_replay;
+          Testutil.tc "1M-deep root rejected" test_deep_root;
+          Testutil.tc "1M-deep unknown element skipped" test_deep_inside_algo;
+          Testutil.tc "dependency-heavy programs" test_dependency_heavy;
+        ] );
     ]

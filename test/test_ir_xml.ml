@@ -3,11 +3,21 @@
 open Msccl_core
 module T = Msccl_topology
 module A = Msccl_algorithms
+module H = Msccl_harness
+module I = Msccl_interop.Ingest
+
+(* The printed IR ingests back with no diagnostic at all. *)
+let ingest_clean ?file what s =
+  match I.of_string ?file s with
+  | Ok (ir, []) -> ir
+  | Ok (_, ds) | Error ds ->
+      Alcotest.failf "%s: ingest drew diagnostics:\n%s" what
+        (I.diags_to_string ds)
 
 let roundtrip name ir =
   Testutil.tc name (fun () ->
       let s = Xml.to_string ir in
-      let back = Xml.of_string s in
+      let back = ingest_clean name s in
       Alcotest.(check bool) "round-trips" true (Testutil.ir_equal ir back);
       (* and printing again yields the same document *)
       Alcotest.(check string) "stable print" s (Xml.to_string back))
@@ -137,7 +147,12 @@ let test_file_io () =
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       Xml.save ir path;
-      let back = Xml.load path in
+      let back =
+        match I.load path with
+        | Ok (ir, []) -> ir
+        | Ok (_, ds) | Error ds ->
+            Alcotest.failf "load drew diagnostics:\n%s" (I.diags_to_string ds)
+      in
       Alcotest.(check bool) "file round-trip" true (Testutil.ir_equal ir back))
 
 (* Registry-wide round-trip: every algorithm the registry can build, in
@@ -148,7 +163,6 @@ let test_file_io () =
    configuration (e.g. hierarchical schedules on one node) are skipped,
    but most of the registry must be exercised. *)
 let test_registry_roundtrip () =
-  let module H = Msccl_harness in
   let configs =
     [
       ("1x8", { H.Registry.default_params with H.Registry.verify = false });
@@ -177,10 +191,9 @@ let test_registry_roundtrip () =
               incr built;
               let s = Xml.to_string ir in
               let back =
-                try Xml.of_string s
-                with Xml.Parse_error e ->
-                  Alcotest.failf "%s (%s): does not parse back: %s"
-                    spec.H.Registry.name label (Xml.error_to_string e)
+                ingest_clean
+                  (Printf.sprintf "%s (%s)" spec.H.Registry.name label)
+                  s
               in
               if not (Ir.equal ir back) then
                 Alcotest.failf "%s (%s): round-trip changed the IR"
@@ -192,6 +205,74 @@ let test_registry_roundtrip () =
     H.Registry.all;
   if !built < 12 then
     Alcotest.failf "only %d registry builds succeeded; sweep too weak" !built
+
+(* Pinned outputs: the md5 of every registry algorithm's printed XML on
+   the presets [msccl lint --all] compiles, and the parsed trees of the
+   dialect corpus with every element and attribute position. A mismatch
+   is a change of the on-disk format or of reported positions. *)
+let pins_dir = "corpus/xml-pins"
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let test_printer_pins () =
+  let b = Buffer.create 8192 in
+  List.iter
+    (fun (spec : H.Registry.spec) ->
+      List.iter
+        (fun (c : H.Lint_sweep.config) ->
+          let params =
+            {
+              H.Registry.default_params with
+              H.Registry.nodes = c.H.Lint_sweep.c_nodes;
+              gpus_per_node = c.H.Lint_sweep.c_gpus;
+              proto = c.H.Lint_sweep.c_proto;
+              verify = false;
+            }
+          in
+          let digest =
+            match spec.H.Registry.build params with
+            | ir -> Digest.to_hex (Digest.string (Xml.to_string ir))
+            | exception _ -> "skipped"
+          in
+          Printf.bprintf b "%s %s %s %s\n" spec.H.Registry.name
+            c.H.Lint_sweep.c_label
+            (T.Protocol.name c.H.Lint_sweep.c_proto)
+            digest)
+        H.Lint_sweep.default_configs)
+    H.Registry.all;
+  Alcotest.(check string)
+    "registry XML digests"
+    (read_file (Filename.concat pins_dir "registry.md5"))
+    (Buffer.contents b)
+
+let rec dump_tree b indent (t : Xml.tree) =
+  Printf.bprintf b "%s<%s> %d:%d\n" indent t.Xml.tag t.Xml.t_pos.Xml.line
+    t.Xml.t_pos.Xml.col;
+  List.iter2
+    (fun (k, v) (k', (p : Xml.pos)) ->
+      assert (String.equal k k');
+      Printf.bprintf b "%s  %s=%S %d:%d\n" indent k v p.Xml.line p.Xml.col)
+    t.Xml.attrs t.Xml.t_attr_pos;
+  List.iter (dump_tree b (indent ^ "  ")) t.Xml.children
+
+let test_parse_tree_pins () =
+  let dir = "corpus/xml-dialect" in
+  let files =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".xml")
+    |> List.sort compare
+  in
+  Alcotest.(check bool) "dialect files found" true (files <> []);
+  List.iter
+    (fun f ->
+      let b = Buffer.create 4096 in
+      dump_tree b "" (Xml.parse_tree (read_file (Filename.concat dir f)));
+      Alcotest.(check string)
+        (f ^ " tree")
+        (read_file
+           (Filename.concat pins_dir (Filename.remove_extension f ^ ".tree")))
+        (Buffer.contents b))
+    files
 
 let test_ir_equal_discriminates () =
   let ir = A.Ring_allreduce.ir ~num_ranks:4 () in
@@ -244,6 +325,8 @@ let () =
             (A.Broadcast_ring.ir ~num_ranks:5 ~root:2 ~chunk_factor:2 ());
           Testutil.tc "file io" test_file_io;
           Testutil.tc "registry-wide round-trip" test_registry_roundtrip;
+          Testutil.tc "printer pins" test_printer_pins;
+          Testutil.tc "parse tree pins" test_parse_tree_pins;
           Testutil.tc "Ir.equal discriminates" test_ir_equal_discriminates;
         ] );
       ( "validation",
