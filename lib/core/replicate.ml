@@ -453,12 +453,10 @@ let run ?(proto = Msccl_topology.Protocol.Simple) ?slots ?name
       try_assign (Queue.pop pending);
       drive ()
     end
-    else
-      match Msccl_sim.Pqueue.pop heap with
-      | Some (_, id) ->
-          try_assign id;
-          drive ()
-      | None -> ()
+    else if not (Msccl_sim.Pqueue.is_empty heap) then begin
+      try_assign (Msccl_sim.Pqueue.pop_min heap);
+      drive ()
+    end
   in
   drive ();
   if !assigned <> n then

@@ -105,6 +105,9 @@ type tb_state = {
 
 type conn = {
   c_route : T.Topology.route;
+  c_hops : int array;
+      (* the engine resources of [c_route], built once per connection;
+         orbit-canonical in cohort mode *)
   mutable c_in_flight : int;
   mutable c_arrived : int;
   mutable c_waiting_recv : (unit -> unit) option;
@@ -134,7 +137,8 @@ type quot = {
 
 let run_impl ~topo ~chunk_bytes ~max_tiles ~check_occupancy ~timeline ~faults
     ~watchdog_s ~(proto : T.Protocol.t) ~(gpus : Ir.gpu array) ~p_full ~quot =
-  if chunk_bytes <= 0. then error "chunk_bytes must be positive";
+  if not (Float.is_finite chunk_bytes) || chunk_bytes <= 0. then
+    error "chunk_bytes %g must be finite and positive" chunk_bytes;
   if p_full <> T.Topology.num_ranks topo then
     error "IR has %d ranks but topology %s has %d" p_full
       (T.Topology.name topo)
@@ -164,7 +168,11 @@ let run_impl ~topo ~chunk_bytes ~max_tiles ~check_occupancy ~timeline ~faults
   let eff = T.Protocol.efficiency proto in
   let alpha_scale = T.Protocol.alpha_scale proto in
   let ntiles =
-    max 1 (min max_tiles (int_of_float (ceil (chunk_bytes /. slot_bytes))))
+    (* Compared as floats: a huge chunk's tile count overflows an int. *)
+    let want = ceil (chunk_bytes /. slot_bytes) in
+    max 1
+      (if want >= float_of_int max_tiles then max_tiles
+       else int_of_float want)
   in
   let tile_bytes = chunk_bytes /. float_of_int ntiles in
   let capacities =
@@ -208,20 +216,15 @@ let run_impl ~topo ~chunk_bytes ~max_tiles ~check_occupancy ~timeline ~faults
     match Hashtbl.find_opt conns key with
     | Some c -> c
     | None ->
-        let route =
-          let r = T.Topology.route topo ~src ~dst in
-          match quot with
-          | None -> r
-          | Some q ->
-              {
-                r with
-                T.Topology.hops =
-                  List.map (fun h -> q.q_hop.(h)) r.T.Topology.hops;
-              }
-        in
+        let route = T.Topology.route topo ~src ~dst in
+        let hops = Array.of_list route.T.Topology.hops in
         let c =
           {
             c_route = route;
+            c_hops =
+              (match quot with
+              | None -> hops
+              | Some q -> Array.map (fun h -> q.q_hop.(h)) hops);
             c_in_flight = 0;
             c_arrived = 0;
             c_waiting_recv = None;
@@ -350,8 +353,8 @@ let run_impl ~topo ~chunk_bytes ~max_tiles ~check_occupancy ~timeline ~faults
     if c.c_proxy_busy then Queue.add (wire, on_arrival) c.c_proxy_queue
     else begin
       c.c_proxy_busy <- true;
-      Msccl_sim.Engine.start_flow eng ~bytes:wire
-        ~hops:c.c_route.T.Topology.hops ~cap:c.c_route.T.Topology.tb_cap
+      Msccl_sim.Engine.start_flow eng ~bytes:wire ~hops:c.c_hops
+        ~cap:c.c_route.T.Topology.tb_cap
         (fun () ->
           c.c_proxy_busy <- false;
           (if not (Queue.is_empty c.c_proxy_queue) then
@@ -474,8 +477,7 @@ let run_impl ~topo ~chunk_bytes ~max_tiles ~check_occupancy ~timeline ~faults
                 let src = st.ts_rank and dst = st.ts_tb.Ir.send in
                 let start = Msccl_sim.Engine.now eng in
                 park st (On_transfer { peer = dst; chan = st.ts_tb.Ir.chan });
-                Msccl_sim.Engine.start_flow eng ~bytes:wire
-                  ~hops:c.c_route.T.Topology.hops
+                Msccl_sim.Engine.start_flow eng ~bytes:wire ~hops:c.c_hops
                   ~cap:(c.c_route.T.Topology.tb_cap /. beta_mult st.ts_rank)
                   (unpark st (fun () ->
                        record_transfer ~src ~dst ~start;

@@ -83,7 +83,10 @@ let ensure_room t value =
     t.values <- values
   end
 
-let add t ~priority value =
+(* [add] and [min_priority] are inlined so that their float priority
+   crosses the call unboxed: an out-of-line call would box it, one
+   allocation per push or pop on the engine's hot path. *)
+let[@inline] add t ~priority value =
   ensure_room t value;
   let i = t.size in
   t.prio.(i) <- priority;
@@ -93,22 +96,23 @@ let add t ~priority value =
   t.size <- t.size + 1;
   sift_up t i
 
-let pop t =
-  if t.size = 0 then None
-  else begin
-    let p = t.prio.(0) and v = t.values.(0) in
-    let last = t.size - 1 in
-    t.size <- last;
-    if last > 0 then begin
-      t.prio.(0) <- t.prio.(last);
-      t.seq.(0) <- t.seq.(last);
-      t.values.(0) <- t.values.(last);
-      t.values.(last) <- v;  (* keep the slot occupied, drop nothing live *)
-      sift_down t 0
-    end;
-    Some (p, v)
-  end
+let empty name = invalid_arg ("Pqueue." ^ name ^ ": empty queue")
 
-let peek t = if t.size = 0 then None else Some (t.prio.(0), t.values.(0))
+let[@inline] min_priority t =
+  if t.size = 0 then empty "min_priority" else t.prio.(0)
+
+let pop_min t =
+  if t.size = 0 then empty "pop_min";
+  let v = t.values.(0) in
+  let last = t.size - 1 in
+  t.size <- last;
+  if last > 0 then begin
+    t.prio.(0) <- t.prio.(last);
+    t.seq.(0) <- t.seq.(last);
+    t.values.(0) <- t.values.(last);
+    t.values.(last) <- v;  (* keep the slot occupied, drop nothing live *)
+    sift_down t 0
+  end;
+  v
 
 let clear t = t.size <- 0

@@ -15,9 +15,14 @@ val is_empty : 'a t -> bool
 val add : 'a t -> priority:float -> 'a -> unit
 (** O(log n). Elements with equal [priority] pop in insertion order. *)
 
-val pop : 'a t -> (float * 'a) option
-(** Removes and returns the minimum-priority element. O(log n). *)
+val min_priority : 'a t -> float
+(** The smallest priority in the queue. O(1).
+    @raise Invalid_argument on an empty queue. *)
 
-val peek : 'a t -> (float * 'a) option
+val pop_min : 'a t -> 'a
+(** Removes and returns the element with the smallest priority (the
+    earliest inserted among equal priorities). O(log n). Neither this nor
+    {!min_priority} allocates.
+    @raise Invalid_argument on an empty queue. *)
 
 val clear : 'a t -> unit

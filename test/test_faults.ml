@@ -19,7 +19,7 @@ let close = Alcotest.(check (float 1e-9))
 let test_set_capacity_rerates () =
   let eng = E.create ~capacities:[| 10. |] in
   let finished = ref nan in
-  E.start_flow eng ~bytes:100. ~hops:[ 0 ] ~cap:infinity (fun () ->
+  E.start_flow eng ~bytes:100. ~hops:[| 0 |] ~cap:infinity (fun () ->
       finished := E.now eng);
   E.after eng 5. (fun () -> E.set_capacity eng 0 5.);
   E.run eng;
@@ -31,7 +31,7 @@ let test_set_capacity_rerates () =
 let test_kill_and_restore () =
   let eng = E.create ~capacities:[| 10. |] in
   let finished = ref nan in
-  E.start_flow eng ~bytes:100. ~hops:[ 0 ] ~cap:infinity (fun () ->
+  E.start_flow eng ~bytes:100. ~hops:[| 0 |] ~cap:infinity (fun () ->
       finished := E.now eng);
   E.after eng 2. (fun () -> E.set_capacity eng 0 0.);
   E.after eng 4. (fun () ->

@@ -291,7 +291,7 @@ let test_engine_event_count () =
      second (stale) completion scheduled — 2 events per flow. *)
   let eng = E.create ~capacities:[| 100. |] in
   let fired = ref 0 in
-  E.start_flow eng ~bytes:1000. ~hops:[ 0 ] ~cap:1000. (fun () -> incr fired);
+  E.start_flow eng ~bytes:1000. ~hops:[| 0 |] ~cap:1000. (fun () -> incr fired);
   E.run eng;
   Alcotest.(check int) "completed" 1 !fired;
   Alcotest.(check int) "single flow = single event" 1 (E.events_processed eng);
@@ -300,7 +300,7 @@ let test_engine_event_count () =
   let eng = E.create ~capacities:[| 100.; 100.; 100.; 100. |] in
   let fired = ref 0 in
   for h = 0 to 3 do
-    E.start_flow eng ~bytes:1000. ~hops:[ h ] ~cap:1000. (fun () -> incr fired)
+    E.start_flow eng ~bytes:1000. ~hops:[| h |] ~cap:1000. (fun () -> incr fired)
   done;
   E.run eng;
   Alcotest.(check int) "all completed" 4 !fired;

@@ -4,6 +4,9 @@
 open Msccl_core
 module T = Msccl_topology
 module A = Msccl_algorithms
+module H = Msccl_harness
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 let topo1 = T.Presets.ndv4 ~nodes:1
 
@@ -113,6 +116,188 @@ let test_algbw () =
     (1048576. /. r.Simulator.time)
     (Simulator.algbw ~buffer_bytes:1048576. r)
 
+(* Non-finite chunk sizes used to make the run loop forever; they are
+   rejected. A finite absurd size must still terminate. *)
+let test_nonfinite_chunk_rejected () =
+  List.iter
+    (fun c ->
+      match Simulator.run ~topo:topo1 ~chunk_bytes:c (ring T.Protocol.Simple) with
+      | _ -> Alcotest.failf "chunk_bytes %g accepted" c
+      | exception Simulator.Sim_error _ -> ())
+    [ Float.nan; infinity ]
+
+let test_absurd_chunk_terminates () =
+  let r = Simulator.run ~topo:topo1 ~chunk_bytes:1e300 (ring T.Protocol.Simple) in
+  Alcotest.(check bool) "finite time" true (Float.is_finite r.Simulator.time);
+  Alcotest.(check int) "max tiles" 4 r.Simulator.tiles
+
+(* Pinned simulated times: [Simulator.run_buffer] over the registry, the
+   three preset families (NVLink dgx1, NVSwitch dgx2, NVSwitch + IB
+   ndv4), three protocols, r in {1, 2, 4} and 1 KB .. 1 GB, plus a cohort
+   run and three fault plans (which drive the engine's capacity changes).
+   Times are stored as hex floats. Messages and tiles
+   must match exactly; a time must match exactly or within 1e-7 relative
+   (a flow-engine rewrite may reorder same-instant ties, which moves a
+   time by the sub-byte completion residue). On a mismatch the computed
+   table is written to [sim-pins.actual] in the test's working directory,
+   which is how the table is re-recorded; pins that match only within the
+   tolerance are listed in the test's output. *)
+let pins_file = "corpus/sim-pins/registry.pins"
+
+let pin_configs =
+  (* label, nodes, gpus per node, protocols, instances *)
+  let all3 = [ T.Protocol.Simple; T.Protocol.LL; T.Protocol.LL128 ] in
+  [
+    ("ndv4:1", 1, 8, all3, [ 1; 2 ]);
+    ("ndv4:2", 2, 8, all3, [ 1; 2 ]);
+    ("dgx2:1", 1, 16, all3, [ 1; 4 ]);
+    ("dgx1", 1, 8, [ T.Protocol.Simple ], [ 1; 2 ]);
+  ]
+
+let pin_sizes = [ 1024.; 1048576.; 1073741824. ]
+
+let pin_line b key (r : Simulator.result) =
+  Printf.bprintf b "%s %h %d %d\n" key r.Simulator.time r.Simulator.messages
+    r.Simulator.tiles
+
+let compute_pins () =
+  let b = Buffer.create 65536 in
+  List.iter
+    (fun (spec : H.Registry.spec) ->
+      List.iter
+        (fun (label, nodes, gpus, protos, rs) ->
+          let topo = Result.get_ok (H.Registry.parse_topology label) in
+          List.iter
+            (fun proto ->
+              List.iter
+                (fun r ->
+                  let params =
+                    {
+                      H.Registry.default_params with
+                      H.Registry.nodes;
+                      gpus_per_node = gpus;
+                      proto;
+                      instances = r;
+                      verify = false;
+                    }
+                  in
+                  match spec.H.Registry.build params with
+                  | exception _ -> ()
+                  | ir ->
+                      List.iter
+                        (fun size ->
+                          let key =
+                            Printf.sprintf "%s %s %s r%d %.0f"
+                              spec.H.Registry.name label
+                              (T.Protocol.name proto) r size
+                          in
+                          match
+                            Simulator.run_buffer ~topo ~buffer_bytes:size
+                              ~check_occupancy:false ir
+                          with
+                          | res -> pin_line b key res
+                          | exception Simulator.Sim_error _ -> ())
+                        pin_sizes)
+                rs)
+            protos)
+        pin_configs)
+    H.Registry.all;
+  (* Cohort simulation: allpairs@16 on two ndv4 nodes batches by stride 8. *)
+  let topo16 = T.Presets.ndv4 ~nodes:2 in
+  let coll =
+    Collective.make Collective.Allreduce ~num_ranks:16 ~chunk_factor:16
+      ~inplace:true ()
+  in
+  let rep =
+    Replicate.run ~name:"allpairs"
+      ~hint:(A.Allpairs_allreduce.hint ~num_ranks:16)
+      coll
+  in
+  List.iter
+    (fun size ->
+      let res, co =
+        Simulator.run_sym ~topo:topo16 ~chunk_bytes:(size /. 16.)
+          ~check_occupancy:false rep
+      in
+      pin_line b
+        (Printf.sprintf "cohort:allpairs ndv4:2 stride%d %.0f"
+           co.Simulator.co_stride size)
+        res)
+    pin_sizes;
+  (* Two benign random fault plans, and a link killed mid-run then
+     restored: each drives [Engine.set_capacity], the last one while
+     flows are in flight. *)
+  let module Plan = Msccl_faults.Plan in
+  let kill_restore =
+    Plan.make
+      [
+        Plan.Degrade
+          {
+            target = Plan.Route { src = 7; dst = 8 };
+            factor = 0.;
+            from_s = 2e-5;
+            until_s = Some 1e-4;
+          };
+      ]
+  in
+  List.iter
+    (fun (label, name, faults) ->
+      let spec = Option.get (H.Registry.find name) in
+      let ir =
+        spec.H.Registry.build
+          { H.Registry.default_params with H.Registry.nodes = 2; verify = false }
+      in
+      List.iter
+        (fun size ->
+          pin_line b
+            (Printf.sprintf "faults:%s %s ndv4:2 %.0f" label name size)
+            (Simulator.run_buffer ~topo:topo16 ~buffer_bytes:size
+               ~check_occupancy:false ~faults ir))
+        pin_sizes)
+    [
+      ("seed3", "ring-allreduce", Plan.random ~seed:3 ~severity:0.8 ~topo:topo16);
+      ( "seed11",
+        "two-step-alltoall",
+        Plan.random ~seed:11 ~severity:0.8 ~topo:topo16 );
+      ("kill7-8", "ring-allreduce", kill_restore);
+    ];
+  Buffer.contents b
+
+let parse_pins text =
+  String.split_on_char '\n' text
+  |> List.filter (fun l -> l <> "")
+  |> List.map (fun l ->
+         match List.rev (String.split_on_char ' ' l) with
+         | tiles :: msgs :: time :: rkey ->
+             ( String.concat " " (List.rev rkey),
+               (float_of_string time, int_of_string msgs, int_of_string tiles)
+             )
+         | _ -> Alcotest.failf "malformed pin line %S" l)
+
+let test_sim_pins () =
+  let actual = compute_pins () in
+  let expected = parse_pins (read_file pins_file) in
+  let got = parse_pins actual in
+  let fail fmt =
+    Out_channel.with_open_bin "sim-pins.actual" (fun oc ->
+        output_string oc actual);
+    Alcotest.failf fmt
+  in
+  if List.length got < 500 then
+    Alcotest.failf "only %d runs succeeded; pin table too weak"
+      (List.length got);
+  if List.map fst expected <> List.map fst got then
+    fail "pinned runs differ (%d pinned, %d computed)" (List.length expected)
+      (List.length got);
+  List.iter2
+    (fun (key, (t0, m0, k0)) (_, (t1, m1, k1)) ->
+      if m0 <> m1 || k0 <> k1 then
+        fail "%s: messages/tiles %d/%d, pinned %d/%d" key m1 k1 m0 k0;
+      if Float.abs (t1 -. t0) > 1e-7 *. Float.abs t0 then
+        fail "%s: time %h, pinned %h" key t1 t0;
+      if t1 <> t0 then Printf.printf "pin %s: %h vs pinned %h\n" key t1 t0)
+    expected got
+
 let () =
   Alcotest.run "simulator"
     [
@@ -132,5 +317,8 @@ let () =
           Testutil.tc "deterministic" test_deterministic;
           Testutil.tc "tile cap" test_tiles_cap;
           Testutil.tc "algbw" test_algbw;
+          Testutil.tc "non-finite chunk rejected" test_nonfinite_chunk_rejected;
+          Testutil.tc "absurd chunk terminates" test_absurd_chunk_terminates;
         ] );
+      ("pins", [ Testutil.tc "registry simulated times" test_sim_pins ]);
     ]
