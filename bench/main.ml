@@ -165,6 +165,10 @@ let run_e2e () =
   let rows = H.E2e.run () in
   H.E2e.print Format.std_formatter rows
 
+let write_json path v =
+  Json.to_file path v;
+  Printf.printf "wrote %s\n%!" path
+
 (* Wall-time of the registry-wide perfcheck sweep (every algorithm priced
    on every default config), written to BENCH_perfcheck.json so CI can
    track the analyzer's own cost over time. *)
@@ -183,13 +187,12 @@ let run_perfcheck () =
   Printf.printf
     "== perfcheck sweep: %d configs (%d analyzed, %d skipped) in %.3f s ==\n"
     (List.length entries) analyzed skipped dt;
-  let oc = open_out "BENCH_perfcheck.json" in
-  Printf.fprintf oc
-    "{\"benchmark\":\"perfcheck-sweep\",\"configs\":%d,\"analyzed\":%d,\
-     \"skipped\":%d,\"wall_s\":%.6f}\n"
-    (List.length entries) analyzed skipped dt;
-  close_out oc;
-  Printf.printf "wrote BENCH_perfcheck.json\n%!"
+  write_json "BENCH_perfcheck.json"
+    Json.(
+      Obj
+        [ ("benchmark", String "perfcheck-sweep");
+          ("configs", Int (List.length entries)); ("analyzed", Int analyzed);
+          ("skipped", Int skipped); ("wall_s", Float dt) ])
 
 (* ------------------------------------------------------------------ *)
 (* Scale benchmark: the full pipeline at cluster sizes                  *)
@@ -447,67 +450,38 @@ let scale_point_sym_frontier () =
   p
 
 let point_json p =
-  Printf.sprintf
-    "{\"algo\":\"%s\",\"ranks\":%d,\"compile_s\":%.3f,\"verify_s\":%.3f,\
-     \"races_s\":%.3f,\"simulate_s\":%.3f,\"total_s\":%.3f,\"events\":%d,\
-     \"events_per_s\":%.0f,\"symmetry_infer_s\":%.3f,\"races_quotient_s\":%.3f,\
-     \"lint_s\":%.3f,\"lint_quotient_s\":%.3f,\"provenance_s\":%.3f,\
-     \"provenance_quotient_s\":%.3f,\"orbits\":%d,\"sym_compile_s\":%.3f,\
-     \"sym_mode\":\"%s\"}"
-    p.sp_algo p.sp_ranks p.sp_compile_s p.sp_verify_s p.sp_races_s
-    p.sp_simulate_s p.sp_total_s p.sp_events
-    (float_of_int p.sp_events /. p.sp_simulate_s)
-    p.sp_infer_s p.sp_races_q_s p.sp_lint_s p.sp_lint_q_s p.sp_prov_s
-    p.sp_prov_q_s p.sp_orbits p.sp_sym_compile_s p.sp_sym_mode
+  Json.(
+    Obj
+      [ ("algo", String p.sp_algo); ("ranks", Int p.sp_ranks);
+        ("compile_s", Float p.sp_compile_s); ("verify_s", Float p.sp_verify_s);
+        ("races_s", Float p.sp_races_s); ("simulate_s", Float p.sp_simulate_s);
+        ("total_s", Float p.sp_total_s); ("events", Int p.sp_events);
+        ("events_per_s", Float (float_of_int p.sp_events /. p.sp_simulate_s));
+        ("symmetry_infer_s", Float p.sp_infer_s);
+        ("races_quotient_s", Float p.sp_races_q_s);
+        ("lint_s", Float p.sp_lint_s); ("lint_quotient_s", Float p.sp_lint_q_s);
+        ("provenance_s", Float p.sp_prov_s);
+        ("provenance_quotient_s", Float p.sp_prov_q_s);
+        ("orbits", Int p.sp_orbits);
+        ("sym_compile_s", Float p.sp_sym_compile_s);
+        ("sym_mode", String p.sp_sym_mode) ])
 
-(* Minimal extraction from our own fixed serialization: every point object
-   starts with {"algo": and carries a "total_s" field before its '}'. *)
-let find_sub s sub from =
-  let n = String.length s and m = String.length sub in
-  let rec go i =
-    if i + m > n then raise Not_found
-    else if String.sub s i m = sub then i
-    else go (i + 1)
-  in
-  go from
-
+(* (algo, ranks, total_s) of every point in a committed scale file. *)
 let baseline_points path =
   if not (Sys.file_exists path) then []
-  else begin
-    let ic = open_in_bin path in
-    let s = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    let pts = ref [] in
-    let i = ref 0 in
-    (try
-       while true do
-         let start = find_sub s "{\"algo\":\"" !i in
-         let stop = String.index_from s start '}' in
-         let frag = String.sub s start (stop - start) in
-         i := stop;
-         let field name conv =
-           let tag = Printf.sprintf "\"%s\":" name in
-           let from = find_sub frag tag 0 + String.length tag in
-           let upto = ref from in
-           while
-             !upto < String.length frag
-             && (match frag.[!upto] with
-                | '0' .. '9' | '.' | '-' | 'e' -> true
-                | _ -> false)
-           do
-             incr upto
-           done;
-           conv (String.sub frag from (!upto - from))
-         in
-         let algo =
-           let from = start + String.length "{\"algo\":\"" in
-           String.sub s from (String.index_from s from '"' - from)
-         in
-         pts := (algo, field "ranks" int_of_string, field "total_s" float_of_string) :: !pts
-       done
-     with Not_found -> ());
-    List.rev !pts
-  end
+  else
+    let text = In_channel.with_open_bin path In_channel.input_all in
+    let point p =
+      match Json.(member "algo" p, member "ranks" p, member "total_s" p) with
+      | Json.String a, Json.Int ranks, Json.Float total -> (a, ranks, total)
+      | _ -> failwith (path ^ ": malformed scale point")
+    in
+    match Json.parse text with
+    | Ok v -> (
+        match Json.member "points" v with
+        | Json.List pts -> List.map point pts
+        | _ -> failwith (path ^ ": no points array"))
+    | Error m -> failwith (Printf.sprintf "%s: %s" path m)
 
 (* Whole-registry quotient soundness gate: for every registered
    algorithm at its default shape, quotient race findings must equal the
@@ -546,6 +520,9 @@ let quotient_registry_gate () =
 
 let run_scale ~quick ~check () =
   let baseline = if check then baseline_points scale_file else [] in
+  if check then
+    Printf.printf "baseline: %d point(s) from %s\n%!" (List.length baseline)
+      scale_file;
   Printf.printf "== scale: full pipeline at cluster sizes%s ==\n%!"
     (if quick then " (quick)" else "");
   let quotient_algos = quotient_registry_gate () in
@@ -585,17 +562,18 @@ let run_scale ~quick ~check () =
     "registry sweep: jobs=1 %.2fs, jobs=8 %.2fs (%.2fx, min of %d reps, \
      outputs identical)\n%!"
     jobs1_s jobs8_s (jobs1_s /. jobs8_s) reps;
-  let oc = open_out scale_file in
-  Printf.fprintf oc
-    "{\"benchmark\":\"scale\",\"quick\":%b,\"points\":[%s],\
-     \"registry_sweep\":{\"jobs1_s\":%.3f,\"jobs8_s\":%.3f,\"speedup\":%.3f},\
-     \"quotient_gate\":{\"algorithms\":%d,\"identical\":true}}\n"
-    quick
-    (String.concat "," (List.map point_json points))
-    jobs1_s jobs8_s (jobs1_s /. jobs8_s)
-    quotient_algos;
-  close_out oc;
-  Printf.printf "wrote %s\n%!" scale_file;
+  write_json scale_file
+    Json.(
+      Obj
+        [ ("benchmark", String "scale"); ("quick", Bool quick);
+          ("points", List (List.map point_json points));
+          ( "registry_sweep",
+            Obj
+              [ ("jobs1_s", Float jobs1_s); ("jobs8_s", Float jobs8_s);
+                ("speedup", Float (jobs1_s /. jobs8_s)) ] );
+          ( "quotient_gate",
+            Obj [ ("algorithms", Int quotient_algos); ("identical", Bool true) ]
+          ) ]);
   if check then begin
     let tolerance = 1.25 in
     (* Quotient provenance must never be slower than the full pass (the
@@ -727,21 +705,19 @@ let run_chaos () =
           severities)
       algos
   in
-  let oc = open_out chaos_file in
-  Printf.fprintf oc
-    "{\"benchmark\":\"chaos\",\"ranks\":64,\"buffer_bytes\":%.0f,\
-     \"resource\":\"%s\",\"points\":[%s]}\n"
-    bytes resource
-    (String.concat ","
-       (List.map
-          (fun (name, sev, t, base, d) ->
-            Printf.sprintf
-              "{\"algo\":\"%s\",\"severity\":%.2f,\"time_s\":%.9e,\
-               \"baseline_s\":%.9e,\"degradation\":%.6f}"
-              name sev t base d)
-          points));
-  close_out oc;
-  Printf.printf "wrote %s\n%!" chaos_file
+  let point (name, sev, t, base, d) =
+    Json.(
+      Obj
+        [ ("algo", String name); ("severity", Float sev); ("time_s", Float t);
+          ("baseline_s", Float base); ("degradation", Float d) ])
+  in
+  write_json chaos_file
+    Json.(
+      Obj
+        [ ("benchmark", String "chaos"); ("ranks", Int 64);
+          ("buffer_bytes", Int (int_of_float bytes));
+          ("resource", String resource);
+          ("points", List (List.map point points)) ])
 
 let () =
   let which = if Array.length Sys.argv > 1 then Some Sys.argv.(1) else None in

@@ -33,6 +33,8 @@ let input_error = 2
    aliases and reordering are accepted, warnings go to stderr, and a
    rejection prints every positioned diagnostic (JSON on [--json]) so a
    third-party file is debuggable from one run. *)
+let print_json j = print_endline (Json.to_string j)
+
 let ingest_file ?(json = false) f =
   let module I = Msccl_interop.Ingest in
   match I.load f with
@@ -40,7 +42,7 @@ let ingest_file ?(json = false) f =
       List.iter (fun d -> prerr_endline (I.diag_to_string d)) warns;
       Some ir
   | Error ds ->
-      if json then print_endline (I.diags_json ds)
+      if json then print_json (I.diags_json ds)
       else prerr_endline (I.diags_to_string ds);
       None
 
@@ -132,6 +134,35 @@ let jobs_arg =
   in
   Arg.(value & opt (some int) None & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 
+let json_arg =
+  let doc = "Emit machine-readable JSON on stdout instead of text." in
+  Arg.(value & flag & info [ "json" ] ~doc)
+
+(* What verify, lint and analyze run on: an XML file, a registered
+   algorithm compiled in-process, or the whole-registry sweep. *)
+type input = File of string | Algo of string | All | No_input
+
+let input_arg ~all_doc =
+  let file =
+    let doc = "MSCCL-IR XML file." in
+    Arg.(value & pos 0 (some file) None & info [] ~docv:"FILE" ~doc)
+  in
+  let algo =
+    let doc = "A registered algorithm, compiled in-process, instead of a \
+               file." in
+    Arg.(value & opt (some string) None & info [ "algo"; "a" ] ~docv:"ALGO"
+           ~doc)
+  in
+  let all = Arg.(value & flag & info [ "all" ] ~doc:all_doc) in
+  let pick all file algo =
+    match (all, file, algo) with
+    | true, _, _ -> All
+    | false, Some f, _ -> File f
+    | false, None, Some a -> Algo a
+    | false, None, None -> No_input
+  in
+  Term.(const pick $ all $ file $ algo)
+
 let build_params nodes gpus channels instances proto chunk_factor no_verify =
   {
     H.Registry.nodes;
@@ -155,6 +186,30 @@ let build_ir name params =
       | Schedule.Scheduling_error m -> Error ("scheduling error: " ^ m)
       | Failure m -> Error m
       | Invalid_argument m -> Error m)
+
+(* Resolves a FILE or --algo input to IR (building algorithms with
+   [params]) and runs [k] on it; unusable input exits 2. *)
+let with_ir ~json ~params input k =
+  match input with
+  | File f -> (
+      match ingest_file ~json f with Some ir -> k ir | None -> input_error)
+  | Algo a -> (
+      match build_ir a params with
+      | Ok ir -> k ir
+      | Error msg ->
+          prerr_endline msg;
+          input_error)
+  | All | No_input ->
+      prerr_endline "need an XML file, --algo NAME, or --all";
+      input_error
+
+(* One registry-sweep entry of lint/analyze --all --json. *)
+let sweep_entry algo (c : H.Lint_sweep.config) fields =
+  Json.(
+    Obj
+      (("algo", String algo) :: ("topology", String c.H.Lint_sweep.c_label)
+       :: ("proto", String (T.Protocol.name c.H.Lint_sweep.c_proto))
+       :: fields))
 
 (* ------------------------------------------------------------------ *)
 (* Subcommands                                                         *)
@@ -274,21 +329,6 @@ let xml_file_arg =
   Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc)
 
 let verify_cmd =
-  let file_arg =
-    let doc = "MSCCL-IR XML file to verify." in
-    Arg.(value & pos 0 (some file) None & info [] ~docv:"FILE" ~doc)
-  in
-  let algo_opt_arg =
-    let doc = "Verify a registered algorithm (compiled in-process) instead \
-               of a file." in
-    Arg.(value & opt (some string) None & info [ "algo"; "a" ] ~docv:"ALGO" ~doc)
-  in
-  let all_arg =
-    let doc = "With $(b,--static): sweep every registered algorithm \
-               through the provenance verifier (single-node and two-node \
-               shapes)." in
-    Arg.(value & flag & info [ "all" ] ~doc)
-  in
   let static_arg =
     let doc =
       "Use the static chunk-provenance dataflow verifier instead of \
@@ -300,12 +340,6 @@ let verify_cmd =
     in
     Arg.(value & flag & info [ "static" ] ~doc)
   in
-  let json_arg =
-    let doc = "Emit machine-readable JSON (the same diagnostic shape as \
-               $(b,msccl lint --json): an empty array on success; with \
-               $(b,--static), the full provenance report)." in
-    Arg.(value & flag & info [ "json" ] ~doc)
-  in
   let mode_string = function
     | Msccl_analysis.Provenance.Full -> "full"
     | Msccl_analysis.Provenance.Quotient { orbits; interpreted_ranks } ->
@@ -316,7 +350,7 @@ let verify_cmd =
     let s = Msccl_analysis.Symmetry.infer ir in
     let r = Msccl_analysis.Provenance.analyze ~symmetry:s ir in
     let open Msccl_analysis.Provenance in
-    if json then print_endline (report_json r)
+    if json then print_json (report_json r)
     else begin
       if r.r_diags = [] then
         Printf.printf
@@ -337,94 +371,72 @@ let verify_cmd =
     else ok
   in
   let static_sweep ~json () =
-    let shapes = [ (1, 8); (2, 4) ] in
-    let entries = ref [] in
-    let bad = ref false in
-    List.iter
-      (fun spec ->
-        let name = spec.H.Registry.name in
-        List.iter
-          (fun (nodes, gpus) ->
-            match
-              spec.H.Registry.build
-                { H.Registry.default_params with nodes; gpus_per_node = gpus }
-            with
-            | exception _ -> () (* shape unsupported by this algorithm *)
-            | ir ->
-                let s = Msccl_analysis.Symmetry.infer ir in
-                let r = Msccl_analysis.Provenance.analyze ~symmetry:s ir in
-                let open Msccl_analysis.Provenance in
-                let failed =
-                  r.r_diags <> [] || Lint.has_errors r.r_lints
-                in
-                if failed then bad := true;
-                if json then
-                  entries :=
-                    Printf.sprintf
-                      "{\"algo\":\"%s\",\"nodes\":%d,\"gpus\":%d,\"report\":%s}"
-                      (Lint.json_escape name) nodes gpus (report_json r)
-                    :: !entries
-                else begin
-                  Printf.printf "%-24s %dx%d  %-9s %s\n" name nodes gpus
-                    (if failed then "FAILED" else "ok")
-                    (mode_string r.r_mode);
-                  if failed then
-                    List.iter
-                      (fun d -> Format.printf "  %a@." pp_diag d)
-                      r.r_diags
-                end)
-          shapes)
-      H.Registry.all;
-    if json then
-      print_endline ("[" ^ String.concat "," (List.rev !entries) ^ "]");
-    if !bad then finding_error else ok
-  in
-  let run file algo all static json =
-    let load_input () =
-      match (file, algo) with
-      | Some f, _ -> (
-          match ingest_file ~json f with
-          | Some ir -> Ok ir
-          | None -> Error "")
-      | None, Some a -> build_ir a H.Registry.default_params
-      | None, None -> Error "need an XML file, --algo NAME, or --all"
+    let results =
+      List.concat_map
+        (fun spec ->
+          List.filter_map
+            (fun (nodes, gpus) ->
+              match
+                spec.H.Registry.build
+                  { H.Registry.default_params with nodes; gpus_per_node = gpus }
+              with
+              | exception _ -> None (* shape unsupported by this algorithm *)
+              | ir ->
+                  let s = Msccl_analysis.Symmetry.infer ir in
+                  Some
+                    ( spec.H.Registry.name, nodes, gpus,
+                      Msccl_analysis.Provenance.analyze ~symmetry:s ir ))
+            [ (1, 8); (2, 4) ])
+        H.Registry.all
     in
-    if all then
-      if static then static_sweep ~json ()
-      else begin
+    let open Msccl_analysis.Provenance in
+    let failed r = r.r_diags <> [] || Lint.has_errors r.r_lints in
+    let entry (name, nodes, gpus, r) =
+      Json.(
+        Obj
+          [ ("algo", String name); ("nodes", Int nodes); ("gpus", Int gpus);
+            ("report", report_json r) ])
+    in
+    if json then print_json (Json.List (List.map entry results))
+    else
+      List.iter
+        (fun (name, nodes, gpus, r) ->
+          Printf.printf "%-24s %dx%d  %-9s %s\n" name nodes gpus
+            (if failed r then "FAILED" else "ok")
+            (mode_string r.r_mode);
+          if failed r then
+            List.iter (fun d -> Format.printf "  %a@." pp_diag d) r.r_diags)
+        results;
+    if List.exists (fun (_, _, _, r) -> failed r) results then finding_error
+    else ok
+  in
+  let run input static json =
+    match input with
+    | All when static -> static_sweep ~json ()
+    | All ->
         prerr_endline "--all requires --static";
         input_error
-      end
-    else
-      match load_input () with
-      | Error msg ->
-          if msg <> "" then prerr_endline msg;
-          input_error
-      | Ok ir ->
-          if static then static_one ~json ir
-          else (
-            match Verify.check ir with
-            | Ok () ->
-                if json then print_endline "[]"
-                else
-                  Printf.printf
-                    "%s: OK (postcondition, deadlock-freedom, structure)\n"
-                    (Ir.summary ir);
-                ok
-            | Error msg ->
-                if json then
-                  print_endline
-                    (Lint.to_json
-                       [
-                         {
-                           Lint.d_rule = "verify";
-                           d_severity = Lint.Error;
-                           d_at = None;
-                           d_message = msg;
-                         };
-                       ])
-                else Printf.eprintf "%s: FAILED\n  %s\n" (Ir.summary ir) msg;
-                finding_error)
+    | input ->
+        with_ir ~json ~params:H.Registry.default_params input (fun ir ->
+            if static then static_one ~json ir
+            else
+              match Verify.check ir with
+              | Ok () ->
+                  if json then print_json (Json.List [])
+                  else
+                    Printf.printf
+                      "%s: OK (postcondition, deadlock-freedom, structure)\n"
+                      (Ir.summary ir);
+                  ok
+              | Error msg ->
+                  let d =
+                    { Lint.d_rule = "verify"; d_severity = Lint.Error;
+                      d_at = None; d_message = msg }
+                  in
+                  if json then print_json (Lint.to_json [ d ])
+                  else
+                    Printf.eprintf "%s: FAILED\n  %s\n" (Ir.summary ir) msg;
+                  finding_error)
   in
   Cmd.v
     (Cmd.info "verify"
@@ -433,31 +445,18 @@ let verify_cmd =
           collective's postcondition by default, or ($(b,--static)) the \
           chunk-provenance dataflow verifier with root-cause diagnostics \
           and liveness lints. Exit 1 on findings, 2 on unusable input.")
-    Term.(const run $ file_arg $ algo_opt_arg $ all_arg $ static_arg
-          $ json_arg)
+    Term.(
+      const run
+      $ input_arg
+          ~all_doc:
+            "With $(b,--static): sweep every registered algorithm through \
+             the provenance verifier (single-node and two-node shapes)."
+      $ static_arg $ json_arg)
 
 let lint_cmd =
-  let file_arg =
-    let doc = "MSCCL-IR XML file to lint." in
-    Arg.(value & pos 0 (some file) None & info [] ~docv:"FILE" ~doc)
-  in
-  let algo_opt_arg =
-    let doc = "Lint a registered algorithm (compiled in-process) instead of \
-               a file." in
-    Arg.(value & opt (some string) None & info [ "algo"; "a" ] ~docv:"ALGO" ~doc)
-  in
-  let all_arg =
-    let doc = "Sweep every registered algorithm across the NDv4/DGX-2 \
-               presets and the Simple/LL/LL128 protocols." in
-    Arg.(value & flag & info [ "all" ] ~doc)
-  in
-  let json_arg =
-    let doc = "Emit machine-readable JSON instead of text." in
-    Arg.(value & flag & info [ "json" ] ~doc)
-  in
   let lint_one ~json ir =
     let ds = Lint.run ir in
-    if json then print_endline (Lint.to_json ds)
+    if json then print_json (Lint.to_json ds)
     else Format.printf "%s@.%a" (Ir.summary ir) Lint.pp ds;
     if Lint.has_errors ds then finding_error else ok
   in
@@ -467,17 +466,15 @@ let lint_cmd =
       let one (e : H.Lint_sweep.entry) =
         let status, diags =
           match e.H.Lint_sweep.e_outcome with
-          | H.Lint_sweep.Clean _ -> ("clean", "[]")
-          | H.Lint_sweep.Findings ds -> ("errors", Lint.to_json ds)
-          | H.Lint_sweep.Build_failed _ -> ("skipped", "[]")
+          | H.Lint_sweep.Clean _ -> ("clean", [])
+          | H.Lint_sweep.Findings ds -> ("errors", ds)
+          | H.Lint_sweep.Build_failed _ -> ("skipped", [])
         in
-        Printf.sprintf
-          "{\"algo\":\"%s\",\"topology\":\"%s\",\"proto\":\"%s\",\"status\":\"%s\",\"diagnostics\":%s}"
-          e.H.Lint_sweep.e_algo e.H.Lint_sweep.e_config.H.Lint_sweep.c_label
-          (T.Protocol.name e.H.Lint_sweep.e_config.H.Lint_sweep.c_proto)
-          status diags
+        sweep_entry e.H.Lint_sweep.e_algo e.H.Lint_sweep.e_config
+          Json.
+            [ ("status", String status); ("diagnostics", Lint.to_json diags) ]
       in
-      print_endline ("[" ^ String.concat "," (List.map one entries) ^ "]")
+      print_json (Json.List (List.map one entries))
     end
     else Format.printf "%a@." H.Lint_sweep.pp entries;
     List.iter
@@ -493,26 +490,14 @@ let lint_cmd =
       entries;
     if H.Lint_sweep.clean entries then ok else finding_error
   in
-  let run file algo all nodes gpus channels instances proto chunk_factor json
-      jobs =
-    match (all, file, algo) with
-    | true, _, _ -> sweep ~json ?jobs ()
-    | false, Some f, _ -> (
-        match ingest_file ~json f with
-        | None -> input_error
-        | Some ir -> lint_one ~json ir)
-    | false, None, Some a -> (
+  let run input nodes gpus channels instances proto chunk_factor json jobs =
+    match input with
+    | All -> sweep ~json ?jobs ()
+    | input ->
         let params =
           build_params nodes gpus channels instances proto chunk_factor true
         in
-        match build_ir a params with
-        | Error msg ->
-            prerr_endline msg;
-            input_error
-        | Ok ir -> lint_one ~json ir)
-    | false, None, None ->
-        prerr_endline "need an XML file, --algo NAME, or --all";
-        input_error
+        with_ir ~json ~params input (lint_one ~json)
   in
   Cmd.v
     (Cmd.info "lint"
@@ -522,30 +507,15 @@ let lint_cmd =
           dependencies, out-of-bounds accesses, dead scratch, channel \
           contention. Exit 1 on error findings, 2 on unusable input.")
     Term.(
-      const run $ file_arg $ algo_opt_arg $ all_arg $ nodes_arg $ gpus_arg
-      $ channels_arg $ instances_arg $ proto_arg $ chunk_factor_arg
-      $ json_arg $ jobs_arg)
+      const run
+      $ input_arg
+          ~all_doc:
+            "Sweep every registered algorithm across the NDv4/DGX-2 presets \
+             and the Simple/LL/LL128 protocols."
+      $ nodes_arg $ gpus_arg $ channels_arg $ instances_arg $ proto_arg
+      $ chunk_factor_arg $ json_arg $ jobs_arg)
 
 let analyze_cmd =
-  let file_arg =
-    let doc = "MSCCL-IR XML file to analyze." in
-    Arg.(value & pos 0 (some file) None & info [] ~docv:"FILE" ~doc)
-  in
-  let algo_opt_arg =
-    let doc = "Analyze a registered algorithm (compiled in-process) \
-               instead of a file." in
-    Arg.(value & opt (some string) None & info [ "algo"; "a" ] ~docv:"ALGO" ~doc)
-  in
-  let all_arg =
-    let doc = "Sweep every registered algorithm across the NDv4/DGX-2 \
-               presets and the Simple/LL/LL128 protocols, printing the \
-               efficiency table." in
-    Arg.(value & flag & info [ "all" ] ~doc)
-  in
-  let json_arg =
-    let doc = "Emit machine-readable JSON instead of text." in
-    Arg.(value & flag & info [ "json" ] ~doc)
-  in
   let symmetry_arg =
     let doc =
       "Infer and certify rank-permutation symmetries and report the rank \
@@ -554,14 +524,19 @@ let analyze_cmd =
     Arg.(value & flag & info [ "symmetry" ] ~doc)
   in
   let hb_stats_json (st : Hbgraph.stats) =
-    Printf.sprintf
-      "{\"nodes\":%d,\"edges\":%d,\"small_closure\":%b,\"queries\":%d,\
-       \"orbit_hits\":%d,\"pos_cutoffs\":%d,\"local_hits\":%d,\
-       \"local_builds\":%d,\"row_hits\":%d,\"rows_built\":%d,\"dfs\":%d}"
-      st.Hbgraph.st_nodes st.Hbgraph.st_edges st.Hbgraph.st_small_closure
-      st.Hbgraph.st_queries st.Hbgraph.st_orbit_hits st.Hbgraph.st_pos_cutoffs
-      st.Hbgraph.st_local_hits st.Hbgraph.st_local_builds
-      st.Hbgraph.st_row_hits st.Hbgraph.st_rows_built st.Hbgraph.st_dfs
+    Json.(
+      Obj
+        Hbgraph.
+          [ ("nodes", Int st.st_nodes); ("edges", Int st.st_edges);
+            ("small_closure", Bool st.st_small_closure);
+            ("queries", Int st.st_queries);
+            ("orbit_hits", Int st.st_orbit_hits);
+            ("pos_cutoffs", Int st.st_pos_cutoffs);
+            ("local_hits", Int st.st_local_hits);
+            ("local_builds", Int st.st_local_builds);
+            ("row_hits", Int st.st_row_hits);
+            ("rows_built", Int st.st_rows_built);
+            ("dfs", Int st.st_dfs) ])
   in
   let analyze_one ~json ~symmetry ~topology ~size_bytes ir =
     match Perfcheck.lint ~topo:topology ~size_bytes ir with
@@ -572,6 +547,7 @@ let analyze_cmd =
         let sym =
           if symmetry then Some (Msccl_analysis.Symmetry.infer ir) else None
         in
+        let prov = Msccl_analysis.Provenance.analyze ?symmetry:sym ir in
         if json then begin
           (* Drive the race pass explicitly so the happens-before stats
              (and, under --symmetry, the quotient counters) are real. *)
@@ -588,25 +564,21 @@ let analyze_cmd =
                 Races.find_quotient ~hb ~orbit ir
             | _ -> Races.find ~hb ir
           in
-          let sym_field =
+          let sym_fields =
             match sym with
-            | None -> ""
+            | None -> []
             | Some s ->
-                Printf.sprintf ",\"symmetry\":%s,\"races\":%d"
-                  (Msccl_analysis.Symmetry.report_json s)
-                  (List.length races)
+                [ ("symmetry", Msccl_analysis.Symmetry.report_json s);
+                  ("races", Json.Int (List.length races)) ]
           in
-          let prov =
-            Msccl_analysis.Provenance.analyze ?symmetry:sym ir
-          in
-          Printf.printf
-            "{\"report\":%s,\"diagnostics\":%s,\"hbgraph_stats\":%s%s,\
-             \"provenance\":%s}\n"
-            (Perfcheck.report_json report)
-            (Lint.to_json diags)
-            (hb_stats_json (Hbgraph.stats hb))
-            sym_field
-            (Msccl_analysis.Provenance.report_json prov)
+          print_json
+            (Json.Obj
+               (("report", Perfcheck.report_json report)
+                :: ("diagnostics", Lint.to_json diags)
+                :: ("hbgraph_stats", hb_stats_json (Hbgraph.stats hb))
+                :: sym_fields
+               @ [ ("provenance", Msccl_analysis.Provenance.report_json prov) ]
+               ))
         end
         else begin
           Format.printf "%s on %s@.%a@.%a@." (Ir.summary ir)
@@ -616,7 +588,6 @@ let analyze_cmd =
           | None -> ()
           | Some s ->
               Format.printf "%s@." (Msccl_analysis.Symmetry.report s));
-          let prov = Msccl_analysis.Provenance.analyze ?symmetry:sym ir in
           let open Msccl_analysis.Provenance in
           Format.printf
             "provenance: %s (%s mode; %d step(s), %d slot(s), %d dataflow \
@@ -643,56 +614,39 @@ let analyze_cmd =
         let body =
           match e.H.Lint_sweep.p_outcome with
           | H.Lint_sweep.Analyzed { report; diags } ->
-              Printf.sprintf
-                "\"status\":\"analyzed\",\"bw_efficiency\":%.6f,\"time_efficiency\":%.6f,\"diagnostics\":%s"
-                report.Perfcheck.bw_efficiency
-                report.Perfcheck.time_efficiency (Lint.to_json diags)
+              Json.
+                [ ("status", String "analyzed");
+                  ("bw_efficiency", Float report.Perfcheck.bw_efficiency);
+                  ("time_efficiency", Float report.Perfcheck.time_efficiency);
+                  ("diagnostics", Lint.to_json diags) ]
           | H.Lint_sweep.Perf_skipped m ->
-              Printf.sprintf "\"status\":\"skipped\",\"reason\":\"%s\""
-                (Lint.json_escape m)
+              Json.[ ("status", String "skipped"); ("reason", String m) ]
         in
-        Printf.sprintf
-          "{\"algo\":\"%s\",\"topology\":\"%s\",\"proto\":\"%s\",%s}"
-          e.H.Lint_sweep.p_algo e.H.Lint_sweep.p_config.H.Lint_sweep.c_label
-          (T.Protocol.name e.H.Lint_sweep.p_config.H.Lint_sweep.c_proto)
-          body
+        sweep_entry e.H.Lint_sweep.p_algo e.H.Lint_sweep.p_config body
       in
-      print_endline ("[" ^ String.concat "," (List.map one entries) ^ "]")
+      print_json (Json.List (List.map one entries))
     end
     else Format.printf "%a@." H.Lint_sweep.pp_perf entries;
     ok
   in
-  let run file algo all topo channels instances proto chunk_factor size json
-      symmetry jobs =
+  let run input topo channels instances proto chunk_factor size json symmetry
+      jobs =
     let size_bytes = int_of_float size in
-    match (all, file, algo) with
-    | true, _, _ -> sweep ~json ~size_bytes ?jobs ()
-    | false, _, _ -> (
+    match input with
+    | All -> sweep ~json ~size_bytes ?jobs ()
+    | input -> (
         match H.Registry.parse_topology topo with
         | Error msg ->
             prerr_endline msg;
             input_error
-        | Ok topology -> (
-            let nodes = T.Topology.num_nodes topology in
-            let gpus = T.Topology.gpus_per_node topology in
-            match (file, algo) with
-            | Some f, _ -> (
-                match ingest_file ~json f with
-                | None -> input_error
-                | Some ir -> analyze_one ~json ~symmetry ~topology ~size_bytes ir)
-            | None, Some a -> (
-                match
-                  build_ir a
-                    (build_params nodes gpus channels instances proto
-                       chunk_factor true)
-                with
-                | Error msg ->
-                    prerr_endline msg;
-                    input_error
-                | Ok ir -> analyze_one ~json ~symmetry ~topology ~size_bytes ir)
-            | None, None ->
-                prerr_endline "need an XML file, --algo NAME, or --all";
-                input_error))
+        | Ok topology ->
+            let params =
+              build_params (T.Topology.num_nodes topology)
+                (T.Topology.gpus_per_node topology)
+                channels instances proto chunk_factor true
+            in
+            with_ir ~json ~params input
+              (analyze_one ~json ~symmetry ~topology ~size_bytes))
   in
   Cmd.v
     (Cmd.info "analyze"
@@ -703,8 +657,13 @@ let analyze_cmd =
           fusion opportunities. Perf findings are advisory (exit 0); \
           unusable input exits 2.")
     Term.(
-      const run $ file_arg $ algo_opt_arg $ all_arg $ topo_arg
-      $ channels_arg $ instances_arg $ proto_arg $ chunk_factor_arg
+      const run
+      $ input_arg
+          ~all_doc:
+            "Sweep every registered algorithm across the NDv4/DGX-2 presets \
+             and the Simple/LL/LL128 protocols, printing the efficiency \
+             table."
+      $ topo_arg $ channels_arg $ instances_arg $ proto_arg $ chunk_factor_arg
       $ size_arg $ json_arg $ symmetry_arg $ jobs_arg)
 
 let show_cmd =
@@ -792,7 +751,7 @@ let simulate_cmd =
                else one size;
                (match (trace, timeline) with
                | Some path, Some tl ->
-                   Timeline.save tl path;
+                   Json.to_file path (Timeline.to_chrome_json tl);
                    Printf.eprintf "wrote %d span(s) to %s\n"
                      (Timeline.num_events tl) path
                | _ -> ());
@@ -867,10 +826,6 @@ let fuzz_cmd =
     in
     Arg.(value & opt_all string [] & info [ "oracle" ] ~docv:"ORACLE" ~doc)
   in
-  let json_arg =
-    let doc = "Emit one JSON report object instead of text." in
-    Arg.(value & flag & info [ "json" ] ~doc)
-  in
   let out_dir_arg =
     let doc =
       "Write every failing case (original and shrunk) as replayable seed \
@@ -909,7 +864,7 @@ let fuzz_cmd =
   in
   let run_corpus ~seed ~mangles ~json ~jobs dir =
     let r = F.Fuzz.run_corpus ?jobs ~mangles ~seed ~dir () in
-    if json then print_endline (F.Fuzz.corpus_report_json r)
+    if json then print_json (F.Fuzz.corpus_report_json r)
     else begin
       List.iter
         (fun (e : F.Fuzz.corpus_entry) ->
@@ -993,7 +948,7 @@ let fuzz_cmd =
           let mutate = if mutate_fusion then Some F.Mutate.break_fusion else None in
           let report = F.Fuzz.run ?jobs ?mutate ~oracles ~seed ~cases () in
           Option.iter (fun dir -> save_failures dir report) out_dir;
-          if json then print_endline (F.Fuzz.report_json report)
+          if json then print_json (F.Fuzz.report_json report)
           else begin
             List.iter
               (fun (f : F.Fuzz.failure) ->
@@ -1032,10 +987,6 @@ let chaos_cmd =
        any hang fails the run."
     in
     Arg.(value & flag & info [ "quick" ] ~doc)
-  in
-  let json_arg =
-    let doc = "Emit the JSON report on stdout instead of the table." in
-    Arg.(value & flag & info [ "json" ] ~doc)
   in
   let seed_arg =
     let doc = "Campaign seed: selects which link each plan degrades." in
@@ -1095,14 +1046,8 @@ let chaos_cmd =
         input_error
     | Ok entries ->
         let report = H.Chaos.to_json ~seed entries in
-        Option.iter
-          (fun file ->
-            let oc = open_out file in
-            output_string oc report;
-            output_char oc '\n';
-            close_out oc)
-          out;
-        if json then print_endline report
+        Option.iter (fun file -> Json.to_file file report) out;
+        if json then print_json report
         else Format.printf "%a" H.Chaos.pp entries;
         let bad = H.Chaos.unexpected_hangs entries in
         if bad <> [] then begin

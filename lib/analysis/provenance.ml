@@ -95,31 +95,26 @@ let pp_diag fmt d =
       (if d.dg_members = 2 then "" else "s")
 
 let diag_json d =
-  let b = Buffer.create 128 in
-  Buffer.add_string b
-    (Printf.sprintf "{\"kind\": \"%s\", \"rank\": %d" (kind_name d.dg_kind)
-       d.dg_rank);
-  (match d.dg_loc with
-  | Some l ->
-      Buffer.add_string b
-        (Printf.sprintf ", \"buffer\": \"%s\", \"index\": %d, \"count\": %d"
-           (Buffer_id.long_name l.Loc.buf)
-           l.Loc.index l.Loc.count)
-  | None -> ());
-  (match d.dg_site with
-  | Some s ->
-      Buffer.add_string b
-        (Printf.sprintf
-           ", \"site\": {\"rank\": %d, \"tb\": %d, \"step\": %d, \"op\": \
-            \"%s\"}"
-           s.p_rank s.p_tb s.p_step (Instr.opcode_name s.p_op))
-  | None -> ());
-  if d.dg_members > 1 then
-    Buffer.add_string b (Printf.sprintf ", \"members\": %d" d.dg_members);
-  Buffer.add_string b
-    (Printf.sprintf ", \"message\": \"%s\"}"
-       (Lint.json_escape (Format.asprintf "%a" pp_diag d)));
-  Buffer.contents b
+  let open Json in
+  let loc (l : Loc.t) =
+    [ ("buffer", String (Buffer_id.long_name l.buf)); ("index", Int l.index);
+      ("count", Int l.count) ]
+  in
+  let site s =
+    [ ( "site",
+        Obj
+          [ ("rank", Int s.p_rank); ("tb", Int s.p_tb); ("step", Int s.p_step);
+            ("op", String (Instr.opcode_name s.p_op)) ] ) ]
+  in
+  let members =
+    if d.dg_members > 1 then [ ("members", Int d.dg_members) ] else []
+  in
+  Obj
+    (("kind", String (kind_name d.dg_kind)) :: ("rank", Int d.dg_rank)
+     :: Option.fold ~none:[] ~some:loc d.dg_loc
+    @ Option.fold ~none:[] ~some:site d.dg_site
+    @ members
+    @ [ ("message", String (Format.asprintf "%a" pp_diag d)) ])
 
 type mode = Full | Quotient of { orbits : int; interpreted_ranks : int }
 
@@ -1743,26 +1738,18 @@ let check ?symmetry ir =
 let lint ?symmetry ir = (analyze ?symmetry ~lints:true ir).r_lints
 
 let report_json r =
-  let b = Buffer.create 256 in
-  (match r.r_mode with
-  | Full -> Buffer.add_string b "{\"mode\": \"full\""
-  | Quotient { orbits; interpreted_ranks } ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"mode\": \"quotient\", \"orbits\": %d, \"interpreted_ranks\": %d"
-           orbits interpreted_ranks));
-  Buffer.add_string b
-    (Printf.sprintf
-       ", \"steps_interpreted\": %d, \"slots_checked\": %d, \"ok\": %b"
-       r.r_steps_interpreted r.r_slots_checked (r.r_diags = []));
-  Buffer.add_string b ", \"diags\": [";
-  List.iteri
-    (fun i d ->
-      if i > 0 then Buffer.add_string b ", ";
-      Buffer.add_string b (diag_json d))
-    r.r_diags;
-  Buffer.add_string b "], \"lints\": ";
-  Buffer.add_string b (Lint.to_json r.r_lints);
-  Buffer.add_string b "}";
-  Buffer.contents b
-
+  let open Json in
+  let mode =
+    match r.r_mode with
+    | Full -> [ ("mode", String "full") ]
+    | Quotient { orbits; interpreted_ranks } ->
+        [ ("mode", String "quotient"); ("orbits", Int orbits);
+          ("interpreted_ranks", Int interpreted_ranks) ]
+  in
+  Obj
+    (mode
+    @ [ ("steps_interpreted", Int r.r_steps_interpreted);
+        ("slots_checked", Int r.r_slots_checked);
+        ("ok", Bool (r.r_diags = []));
+        ("diags", List (List.map diag_json r.r_diags));
+        ("lints", Lint.to_json r.r_lints) ])

@@ -97,7 +97,6 @@ type diag = {
 }
 
 val pp_diag : Format.formatter -> diag -> unit
-val diag_json : diag -> string
 
 type mode =
   | Full
@@ -129,6 +128,6 @@ val lint : ?symmetry:Symmetry.t -> Ir.t -> Lint.diagnostic list
     (sorted with {!Lint.compare_diag}); quotient runs scan representative
     ranks and suffix the folded member count like {!Lint.run}. *)
 
-val report_json : report -> string
+val report_json : report -> Json.t
 (** [{"mode", "orbits", "interpreted_ranks", "steps_interpreted",
     "slots_checked", "ok", "diags": [...], "lints": [...]}]. *)

@@ -511,47 +511,18 @@ let report t =
     t.s_rejected;
   Buffer.contents b
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 32 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let report_json t =
-  let b = Buffer.create 256 in
-  Buffer.add_string b
-    (Printf.sprintf "{\"ranks\":%d,\"period\":%d,\"certified\":%b,"
-       t.s_num_ranks t.s_period (certified t));
-  Buffer.add_string b "\"generators\":[";
-  Buffer.add_string b
-    (String.concat ","
-       (List.map
-          (fun g -> Printf.sprintf "\"%s\"" (json_escape g.g_name))
-          t.s_generators));
-  Buffer.add_string b "],\"orbits\":[";
-  Buffer.add_string b
-    (String.concat ","
-       (List.map
-          (fun r ->
-            let ms = Orbit.members t.s_orbit r in
-            Printf.sprintf "{\"rep\":%d,\"size\":%d,\"members\":[%s]}" r
-              (List.length ms)
-              (String.concat "," (List.map string_of_int ms)))
-          (Orbit.reps t.s_orbit)));
-  Buffer.add_string b "],\"rejected\":[";
-  Buffer.add_string b
-    (String.concat ","
-       (List.map
-          (fun v ->
-            Printf.sprintf "\"%s\"" (json_escape (violation_message v)))
-          t.s_rejected));
-  Buffer.add_string b "]}";
-  Buffer.contents b
+  let open Json in
+  let orbit r =
+    let ms = Orbit.members t.s_orbit r in
+    Obj
+      [ ("rep", Int r); ("size", Int (List.length ms));
+        ("members", List (List.map (fun m -> Int m) ms)) ]
+  in
+  let strings f xs = List (List.map (fun x -> String (f x)) xs) in
+  Obj
+    [ ("ranks", Int t.s_num_ranks); ("period", Int t.s_period);
+      ("certified", Bool (certified t));
+      ("generators", strings (fun g -> g.g_name) t.s_generators);
+      ("orbits", List (List.map orbit (Orbit.reps t.s_orbit)));
+      ("rejected", strings violation_message t.s_rejected) ]

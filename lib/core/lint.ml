@@ -453,34 +453,21 @@ let pp fmt ds =
   Format.fprintf fmt "%d error(s), %d warning(s), %d info@." (count Error)
     (count Warning) (count Info)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 32 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let to_json ds =
   let one d =
     let loc =
       match d.d_at with
-      | None -> ""
+      | None -> []
       | Some at ->
-          Printf.sprintf "\"gpu\":%d,\"tb\":%d,\"step\":%d," at.at_gpu
-            at.at_tb at.at_step
+          Json.
+            [ ("gpu", Int at.at_gpu); ("tb", Int at.at_tb);
+              ("step", Int at.at_step) ]
     in
-    Printf.sprintf "{\"rule\":\"%s\",\"severity\":\"%s\",%s\"message\":\"%s\"}"
-      (json_escape d.d_rule)
-      (severity_name d.d_severity)
-      loc
-      (json_escape d.d_message)
+    Json.(
+      Obj
+        ([ ("rule", String d.d_rule);
+           ("severity", String (severity_name d.d_severity)) ]
+        @ loc
+        @ [ ("message", String d.d_message) ]))
   in
-  "[" ^ String.concat "," (List.map one ds) ^ "]"
+  Json.List (List.map one ds)

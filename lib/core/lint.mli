@@ -137,11 +137,7 @@ val pp_diagnostic : Format.formatter -> diagnostic -> unit
 val pp : Format.formatter -> diagnostic list -> unit
 (** All diagnostics, one per line, plus a summary line. *)
 
-val json_escape : string -> string
-(** Escapes a string for embedding in a JSON literal (shared by
-    {!to_json} and other report emitters). *)
-
-val to_json : diagnostic list -> string
+val to_json : diagnostic list -> Json.t
 (** Machine-readable form: a JSON array of objects with [rule],
     [severity], [gpu]/[tb]/[step] (absent for program-wide findings) and
     [message] fields. *)

@@ -670,35 +670,25 @@ let pp fmt r =
         "thread-block load: max %.2f µs (gpu %d tb %d), mean %.2f µs@]"
         (us busiest.tl_cost) busiest.tl_gpu busiest.tl_tb (us mean)
 
-let fnum v =
-  if Float.is_finite v then Printf.sprintf "%.9g" v else "null"
-
 let report_json r =
-  let links =
-    List.map
-      (fun l ->
-        Printf.sprintf
-          "{\"resource\":%d,\"name\":\"%s\",\"bytes\":%s,\"seconds\":%s}"
-          l.ll_resource (Lint.json_escape l.ll_name) (fnum l.ll_bytes)
-          (fnum l.ll_time))
-      r.link_loads
+  let open Json in
+  let link l =
+    Obj
+      [ ("resource", Int l.ll_resource); ("name", String l.ll_name);
+        ("bytes", Float l.ll_bytes); ("seconds", Float l.ll_time) ]
   in
-  let tbs =
-    List.map
-      (fun l ->
-        Printf.sprintf "{\"gpu\":%d,\"tb\":%d,\"seconds\":%s}" l.tl_gpu
-          l.tl_tb (fnum l.tl_cost))
-      r.tb_loads
+  let tb l =
+    Obj
+      [ ("gpu", Int l.tl_gpu); ("tb", Int l.tl_tb); ("seconds", Float l.tl_cost) ]
   in
-  Printf.sprintf
-    "{\"size_bytes\":%d,\"chunk_bytes\":%s,\"lb_latency\":%s,\
-     \"lb_bandwidth\":%s,\"lb_compute\":%s,\"lb_total\":%s,\"span\":%s,\
-     \"span_bw\":%s,\"congestion\":%s,\"estimate\":%s,\
-     \"bw_efficiency\":%s,\"time_efficiency\":%s,\"links\":[%s],\
-     \"tb_loads\":[%s]}"
-    r.size_bytes (fnum r.chunk_bytes) (fnum r.bound.lb_latency)
-    (fnum r.bound.lb_bandwidth) (fnum r.bound.lb_compute)
-    (fnum (lb_total r.bound))
-    (fnum r.span) (fnum r.span_bw) (fnum r.congestion) (fnum r.estimate)
-    (fnum r.bw_efficiency) (fnum r.time_efficiency)
-    (String.concat "," links) (String.concat "," tbs)
+  Obj
+    [ ("size_bytes", Int r.size_bytes); ("chunk_bytes", Float r.chunk_bytes);
+      ("lb_latency", Float r.bound.lb_latency);
+      ("lb_bandwidth", Float r.bound.lb_bandwidth);
+      ("lb_compute", Float r.bound.lb_compute);
+      ("lb_total", Float (lb_total r.bound)); ("span", Float r.span);
+      ("span_bw", Float r.span_bw); ("congestion", Float r.congestion);
+      ("estimate", Float r.estimate); ("bw_efficiency", Float r.bw_efficiency);
+      ("time_efficiency", Float r.time_efficiency);
+      ("links", List (List.map link r.link_loads));
+      ("tb_loads", List (List.map tb r.tb_loads)) ]

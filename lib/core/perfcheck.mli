@@ -109,6 +109,6 @@ val lint :
 val pp : Format.formatter -> t -> unit
 (** Multi-line human-readable report (times in µs). *)
 
-val report_json : t -> string
+val report_json : t -> Json.t
 (** The report as one JSON object, including per-resource loads and
     per-thread-block costs. *)

@@ -7,47 +7,24 @@ type event = {
   dur : float;
 }
 
-type t = { mutable events : event list; mutable count : int }
+type t = { mutable events : event list }
 
-let create () = { events = []; count = 0 }
+let create () = { events = [] }
 
 let add t ~name ~cat ~pid ~tid ~ts ~dur =
-  t.events <- { name; cat; pid; tid; ts; dur } :: t.events;
-  t.count <- t.count + 1
+  t.events <- { name; cat; pid; tid; ts; dur } :: t.events
 
-let num_events t = t.count
-
-let escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 32 -> Buffer.add_string b " "
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+let num_events t = List.length t.events
 
 let to_chrome_json t =
-  let b = Buffer.create (256 * t.count) in
-  Buffer.add_string b "{\"traceEvents\":[";
-  List.iteri
-    (fun i e ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"pid\":%d,\"tid\":%d,\
-            \"ts\":%.3f,\"dur\":%.3f}"
-           (escape e.name) (escape e.cat) e.pid e.tid (e.ts *. 1e6)
-           (e.dur *. 1e6)))
-    (List.rev t.events);
-  Buffer.add_string b "],\"displayTimeUnit\":\"ms\"}";
-  Buffer.contents b
-
-let save t path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_chrome_json t))
+  let event e =
+    Json.(
+      Obj
+        [ ("name", String e.name); ("cat", String e.cat); ("ph", String "X");
+          ("pid", Int e.pid); ("tid", Int e.tid); ("ts", Float (e.ts *. 1e6));
+          ("dur", Float (e.dur *. 1e6)) ])
+  in
+  Json.(
+    Obj
+      [ ("traceEvents", List (List.rev_map event t.events));
+        ("displayTimeUnit", String "ms") ])

@@ -26,7 +26,5 @@ val add :
 
 val num_events : t -> int
 
-val to_chrome_json : t -> string
+val to_chrome_json : t -> Json.t
 (** The Chrome tracing "traceEvents" JSON document. *)
-
-val save : t -> string -> unit

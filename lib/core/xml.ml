@@ -53,29 +53,6 @@ let error_to_string e =
   List.iter (fun c -> Buffer.add_string b ("\n  in " ^ c)) e.e_context;
   Buffer.contents b
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let error_json e =
-  Printf.sprintf
-    "{\"file\":\"%s\",\"line\":%d,\"col\":%d,\"message\":\"%s\",\"context\":[%s]}"
-    (json_escape e.e_file) e.e_pos.line e.e_pos.col (json_escape e.e_message)
-    (String.concat ","
-       (List.map (fun c -> "\"" ^ json_escape c ^ "\"") e.e_context))
-
 (* ------------------------------------------------------------------ *)
 (* Printing: one element writer into one Buffer                        *)
 (* ------------------------------------------------------------------ *)

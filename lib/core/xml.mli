@@ -61,13 +61,8 @@ val error_to_string : error -> string
 (** ["FILE:LINE:COL: message"] followed by one ["  in <tag> at ..."] line
     per context frame. *)
 
-val error_json : error -> string
-(** One JSON object: [{"file", "line", "col", "message", "context"}]. *)
-
 val frame : file:string -> string -> pos -> string
 (** ["<tag> at file:line:col"] (or ["<tag>"] at {!no_pos}). *)
-
-val json_escape : string -> string
 
 val lex :
   ?file:string ->

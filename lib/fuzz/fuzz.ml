@@ -137,34 +137,22 @@ let replay ?(oracles = Oracle.all) c = Oracle.run ~oracles c
 (* ------------------------------------------------------------------ *)
 
 let report_json r =
-  let b = Buffer.create 1024 in
-  let esc = Msccl_core.Lint.json_escape in
-  Buffer.add_string b
-    (Printf.sprintf "{\"seed\": %d, \"cases\": %d, \"oracles\": [%s],"
-       r.r_seed r.r_cases
-       (String.concat ", "
-          (List.map
-             (fun o -> Printf.sprintf "\"%s\"" (Oracle.id_name o))
-             r.r_oracles)));
-  Buffer.add_string b
-    (Printf.sprintf " \"ok\": %b, \"failures\": [" (r.r_failures = []));
-  List.iteri
-    (fun i f ->
-      if i > 0 then Buffer.add_string b ", ";
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"index\": %d, \"oracle\": \"%s\", \"detail\": \"%s\", \
-            \"case\": \"%s\", \"shrunk\": \"%s\", \"shrunk_detail\": \
-            \"%s\"}"
-           f.f_case.Case.index
-           (Oracle.id_name f.f_failure.Oracle.oracle)
-           (esc f.f_failure.Oracle.detail)
-           (esc (Case.to_string f.f_case))
-           (esc (Case.to_string f.f_shrunk))
-           (esc f.f_shrunk_failure.Oracle.detail)))
-    r.r_failures;
-  Buffer.add_string b "]}";
-  Buffer.contents b
+  let open Msccl_core.Json in
+  let failure f =
+    Obj
+      [ ("index", Int f.f_case.Case.index);
+        ("oracle", String (Oracle.id_name f.f_failure.Oracle.oracle));
+        ("detail", String f.f_failure.Oracle.detail);
+        ("case", String (Case.to_string f.f_case));
+        ("shrunk", String (Case.to_string f.f_shrunk));
+        ("shrunk_detail", String f.f_shrunk_failure.Oracle.detail) ]
+  in
+  Obj
+    [ ("seed", Int r.r_seed); ("cases", Int r.r_cases);
+      ( "oracles",
+        List (List.map (fun o -> String (Oracle.id_name o)) r.r_oracles) );
+      ("ok", Bool (r.r_failures = []));
+      ("failures", List (List.map failure r.r_failures)) ]
 
 (* ------------------------------------------------------------------ *)
 (* Imported-corpus mode: hostile-input checks over external XML        *)
@@ -302,7 +290,7 @@ let run_corpus ?jobs ?(mangles = 8) ~seed ~dir () =
   { cr_dir = dir; cr_seed = seed; cr_mangles = mangles; cr_entries = entries }
 
 let corpus_report_json r =
-  let esc = Msccl_core.Lint.json_escape in
+  let open Msccl_core.Json in
   let entry e =
     let status, detail =
       match e.ce_outcome with
@@ -312,12 +300,11 @@ let corpus_report_json r =
           ("rejected", Printf.sprintf "%d error(s); first: %s" c_errors c_first)
       | C_failed m -> ("failed", m)
     in
-    Printf.sprintf
-      "{\"file\": \"%s\", \"status\": \"%s\", \"detail\": \"%s\"}"
-      (esc e.ce_path) status (esc detail)
+    Obj
+      [ ("file", String e.ce_path); ("status", String status);
+        ("detail", String detail) ]
   in
-  Printf.sprintf
-    "{\"dir\": \"%s\", \"seed\": %d, \"mangles\": %d, \"ok\": %b, \
-     \"files\": [%s]}"
-    (esc r.cr_dir) r.cr_seed r.cr_mangles (corpus_ok r)
-    (String.concat ", " (List.map entry r.cr_entries))
+  Obj
+    [ ("dir", String r.cr_dir); ("seed", Int r.cr_seed);
+      ("mangles", Int r.cr_mangles); ("ok", Bool (corpus_ok r));
+      ("files", List (List.map entry r.cr_entries)) ]

@@ -46,7 +46,7 @@ val run :
 val replay : ?oracles:Oracle.id list -> Case.t -> (unit, Oracle.failure) result
 (** Runs the oracle stack on a stored case (no shrinking, no mutation). *)
 
-val report_json : report -> string
+val report_json : report -> Msccl_core.Json.t
 (** One JSON object: seed, case count, oracle names, and per-failure
     records (index, oracle, detail, original and shrunk case texts). *)
 
@@ -85,6 +85,6 @@ val run_corpus :
     or be rejected with positioned structured diagnostics. Files fan out
     over {!Msccl_parallel.Pool}. *)
 
-val corpus_report_json : corpus_report -> string
+val corpus_report_json : corpus_report -> Msccl_core.Json.t
 (** One JSON object: dir, seed, mangle count, overall ok, and a
     per-file status/detail record. *)

@@ -169,35 +169,22 @@ let pp ppf entries =
   Fmt.pf ppf "@]"
 
 let to_json ~seed entries =
-  let b = Buffer.create 1024 in
-  let esc = Lint.json_escape in
-  Buffer.add_string b (Printf.sprintf "{\"seed\": %d, \"entries\": [" seed);
-  List.iteri
-    (fun i e ->
-      if i > 0 then Buffer.add_string b ", ";
-      Buffer.add_string b
-        (Printf.sprintf "{\"algo\": \"%s\", \"topology\": \"%s\", \
-                         \"severity\": %g, " (esc e.x_algo)
-           (esc e.x_topology) e.x_severity);
-      (match e.x_verdict with
+  let open Json in
+  let entry e =
+    let verdict =
+      match e.x_verdict with
       | Survived { v_time_s; v_baseline_s } ->
-          Buffer.add_string b
-            (Printf.sprintf
-               "\"verdict\": \"survived\", \"time_s\": %.9e, \
-                \"baseline_s\": %.9e, \"degradation\": %.6f" v_time_s
-               v_baseline_s
-               (v_time_s /. v_baseline_s))
+          [ ("verdict", String "survived"); ("time_s", Float v_time_s);
+            ("baseline_s", Float v_baseline_s);
+            ("degradation", Float (v_time_s /. v_baseline_s)) ]
       | Hung { v_at_s; v_blocked; v_cycle; v_detail } ->
-          Buffer.add_string b
-            (Printf.sprintf
-               "\"verdict\": \"hung\", \"at_s\": %.9e, \"blocked\": %d, \
-                \"cycle\": %b, \"detail\": \"%s\"" v_at_s v_blocked v_cycle
-               (esc v_detail))
-      | Skipped m ->
-          Buffer.add_string b
-            (Printf.sprintf "\"verdict\": \"skipped\", \"reason\": \"%s\""
-               (esc m)));
-      Buffer.add_string b "}")
-    entries;
-  Buffer.add_string b "]}";
-  Buffer.contents b
+          [ ("verdict", String "hung"); ("at_s", Float v_at_s);
+            ("blocked", Int v_blocked); ("cycle", Bool v_cycle);
+            ("detail", String v_detail) ]
+      | Skipped m -> [ ("verdict", String "skipped"); ("reason", String m) ]
+    in
+    Obj
+      (("algo", String e.x_algo) :: ("topology", String e.x_topology)
+       :: ("severity", Float e.x_severity) :: verdict)
+  in
+  Obj [ ("seed", Int seed); ("entries", List (List.map entry entries)) ]

@@ -63,4 +63,4 @@ val unexpected_hangs : entry list -> entry list
     (timing-only), so survival was expected and the hang is a finding. *)
 
 val pp : Format.formatter -> entry list -> unit
-val to_json : seed:int -> entry list -> string
+val to_json : seed:int -> entry list -> Msccl_core.Json.t

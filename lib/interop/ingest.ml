@@ -33,16 +33,15 @@ let diags_to_string ds = String.concat "\n" (List.map diag_to_string ds)
 
 let diags_json ds =
   let one d =
-    Printf.sprintf
-      "{\"severity\":\"%s\",\"rule\":\"%s\",\"message\":\"%s\",\"file\":\"%s\",\
-       \"line\":%d,\"col\":%d,\"context\":[%s]}"
-      (sev_name d.d_severity) (Xml.json_escape d.d_rule)
-      (Xml.json_escape d.d_message) (Xml.json_escape d.d_file)
-      d.d_pos.Xml.line d.d_pos.Xml.col
-      (String.concat ","
-         (List.map (fun c -> "\"" ^ Xml.json_escape c ^ "\"") d.d_context))
+    Json.(
+      Obj
+        [ ("severity", String (sev_name d.d_severity));
+          ("rule", String d.d_rule); ("message", String d.d_message);
+          ("file", String d.d_file);
+          ("line", Int d.d_pos.Xml.line); ("col", Int d.d_pos.Xml.col);
+          ("context", List (List.map (fun c -> String c) d.d_context)) ])
   in
-  "[" ^ String.concat "," (List.map one ds) ^ "]"
+  Json.List (List.map one ds)
 
 (* ------------------------------------------------------------------ *)
 (* Diagnostic accumulation                                             *)

@@ -59,7 +59,7 @@ val diag_to_string : diag -> string
 val diags_to_string : diag list -> string
 (** All diagnostics, one per line group, in report order. *)
 
-val diags_json : diag list -> string
+val diags_json : diag list -> Json.t
 (** JSON array of
     [{"severity","rule","message","file","line","col","context"}] —
     the machine-readable shape [msccl verify/lint/analyze FILE --json]

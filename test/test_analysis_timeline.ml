@@ -56,20 +56,14 @@ let test_timeline_capture () =
   Alcotest.(check int) "spans = instr execs + transfers"
     ((Ir.num_steps ir * r.Simulator.tiles) + r.Simulator.messages)
     (Timeline.num_events tl);
-  let json = Timeline.to_chrome_json tl in
-  Alcotest.(check bool) "chrome header" true
-    (String.length json > 20 && String.sub json 0 15 = "{\"traceEvents\":");
-  (* Well-formed enough for our own XML-ish sanity: balanced braces. *)
-  let depth = ref 0 and ok = ref true in
-  String.iter
-    (fun c ->
-      if c = '{' then incr depth
-      else if c = '}' then begin
-        decr depth;
-        if !depth < 0 then ok := false
-      end)
-    json;
-  Alcotest.(check bool) "balanced braces" true (!ok && !depth = 0)
+  let json = Testutil.reparse (Timeline.to_chrome_json tl) in
+  (match Json.member "traceEvents" json with
+  | Json.List evs ->
+      Alcotest.(check int) "one trace event per span" (Timeline.num_events tl)
+        (List.length evs)
+  | _ -> Alcotest.fail "no traceEvents array");
+  Alcotest.(check bool) "display unit" true
+    (Json.member "displayTimeUnit" json = Json.String "ms")
 
 let test_timeline_save () =
   let tl = Timeline.create () in
@@ -78,19 +72,19 @@ let test_timeline_save () =
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Timeline.save tl path;
-      let ic = open_in path in
-      let n = in_channel_length ic in
-      let s = really_input_string ic n in
-      close_in ic;
-      Alcotest.(check bool) "escaped quote" true
-        (String.length s > 0
-        &&
-        let rec find i =
-          i + 4 <= String.length s
-          && (String.sub s i 4 = "x\\\"y" || find (i + 1))
-        in
-        find 0))
+      Json.to_file path (Timeline.to_chrome_json tl);
+      match Json.parse (In_channel.with_open_bin path In_channel.input_all) with
+      | Ok json -> (
+          match Json.member "traceEvents" json with
+          | Json.List [ e ] ->
+              Alcotest.(check bool) "escaped quote" true
+                (Json.member "name" e = Json.String "x\"y");
+              Alcotest.(check bool) "ts in us" true
+                (Json.member "ts" e = Json.Float 1.);
+              Alcotest.(check bool) "dur in us" true
+                (Json.member "dur" e = Json.Float 2.)
+          | _ -> Alcotest.fail "expected one trace event")
+      | Error m -> Alcotest.failf "saved trace is not JSON: %s" m)
 
 let () =
   Alcotest.run "analysis-timeline"

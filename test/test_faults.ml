@@ -236,7 +236,7 @@ let test_trace_fault_spans () =
     Plan.make [ degrade ~factor:0.5 ~from_s:0. ~until_s:1e-4 0 1 ]
   in
   let _ = sim ~faults ~timeline:tl () in
-  let json = Timeline.to_chrome_json tl in
+  let json = Json.to_string (Timeline.to_chrome_json tl) in
   List.iter
     (fun affix ->
       if not (contains json affix) then Alcotest.failf "trace lacks %S" affix)
@@ -250,7 +250,7 @@ let test_trace_blocked_spans () =
   (match sim ~faults:kill_plan ~watchdog_s:0.01 ~timeline:tl () with
   | _ -> Alcotest.fail "expected Hang"
   | exception Simulator.Hang _ -> ());
-  let json = Timeline.to_chrome_json tl in
+  let json = Json.to_string (Timeline.to_chrome_json tl) in
   List.iter
     (fun affix ->
       if not (contains json affix) then Alcotest.failf "trace lacks %S" affix)
@@ -266,7 +266,7 @@ let test_campaign_jobs_identical () =
       H.Chaos.run ~jobs ~algos:[ "ring-allreduce"; "allpairs-allreduce" ]
         ~severities:[ 0.0; 0.5; 1.0 ] ()
     with
-    | Ok entries -> H.Chaos.to_json ~seed:0 entries
+    | Ok entries -> Json.to_string (H.Chaos.to_json ~seed:0 entries)
     | Error m -> Alcotest.failf "campaign failed: %s" m
   in
   Alcotest.(check string) "jobs=1 vs jobs=8" (report 1) (report 8)

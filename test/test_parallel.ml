@@ -75,7 +75,10 @@ let test_registry_sweep_deterministic () =
   Alcotest.(check string) "report identical" (render s1) (render s8)
 
 let test_fuzz_deterministic () =
-  let report jobs = F.Fuzz.report_json (F.Fuzz.run ~jobs ~seed:7 ~cases:30 ()) in
+  let report jobs =
+    Msccl_core.Json.to_string
+      (F.Fuzz.report_json (F.Fuzz.run ~jobs ~seed:7 ~cases:30 ()))
+  in
   Alcotest.(check string) "json identical" (report 1) (report 8)
 
 let test_races_parallel_deterministic () =

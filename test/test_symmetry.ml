@@ -117,22 +117,26 @@ let test_golden_hierarchical_64 () =
 
 let test_report_json_parses () =
   let s = A.Symmetry.infer (build ~nodes:2 ~gpus:4 "hierarchical-allreduce") in
-  let json = A.Symmetry.report_json s in
-  (* Structural smoke checks; full JSON parsing lives in CI tooling. *)
-  List.iter
-    (fun needle ->
-      Alcotest.(check bool)
-        (Printf.sprintf "contains %s" needle)
-        true
-        (let n = String.length needle and m = String.length json in
-         let rec go i =
-           i + n <= m && (String.sub json i n = needle || go (i + 1))
-         in
-         go 0))
-    [
-      "\"ranks\":8"; "\"certified\":true"; "\"orbits\":"; "\"rep\":0";
-      "\"size\":4"; "\"generators\":"; "intra+1/4";
-    ]
+  let json = Testutil.reparse (A.Symmetry.report_json s) in
+  Alcotest.(check bool) "ranks" true (Json.member "ranks" json = Json.Int 8);
+  Alcotest.(check bool) "certified" true
+    (Json.member "certified" json = Json.Bool true);
+  (match Json.member "orbits" json with
+  | Json.List (o :: _) ->
+      Alcotest.(check bool) "first orbit rep" true
+        (Json.member "rep" o = Json.Int 0);
+      Alcotest.(check bool) "first orbit size" true
+        (Json.member "size" o = Json.Int 4)
+  | _ -> Alcotest.fail "no orbits");
+  match Json.member "generators" json with
+  | Json.List gs ->
+      Alcotest.(check bool) "intra+1/4 generator" true
+        (List.exists
+           (function
+             | Json.String g -> String.starts_with ~prefix:"intra+1/4" g
+             | _ -> false)
+           gs)
+  | _ -> Alcotest.fail "no generators"
 
 (* ------------------------------------------------------------------ *)
 (* Quotient races = full races                                         *)

@@ -89,3 +89,9 @@ let qtest ?(count = 100) name arb prop =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name arb prop)
 
 let tc name f = Alcotest.test_case name `Quick f
+
+(* Prints a report and reads it back, as a consumer of the output would. *)
+let reparse v =
+  match Json.parse (Json.to_string v) with
+  | Ok v -> v
+  | Error m -> Alcotest.failf "invalid JSON: %s" m
