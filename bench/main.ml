@@ -208,13 +208,12 @@ type scale_point = {
   sp_total_s : float;
   sp_events : int;
   (* Quotient analysis under certified rank symmetry: inference time,
-     race/lint time through one representative per orbit, and the orbit
-     count. The quotient results are asserted identical to the full
-     pass's before they are recorded. *)
+     race time through one representative per orbit, and the orbit
+     count. The quotient races are asserted identical to the full pass's
+     before they are recorded. Full lint is timed alongside. *)
   sp_infer_s : float;
   sp_races_q_s : float;
   sp_lint_s : float;
-  sp_lint_q_s : float;
   (* Static chunk-provenance verification, full interpretation vs the
      orbit quotient; verdicts are asserted identical (and clean) before
      the times are recorded. *)
@@ -256,27 +255,23 @@ let scale_point ?sym sp_algo sp_ranks build =
   let t4 = wall () in
   (* Quotient block, timed after the classic pipeline so total_s stays
      comparable across revisions. Soundness is asserted, not assumed:
-     quotient races must equal the full pass's and quotient lint must be
-     as clean as full lint. *)
+     quotient races must equal the full pass's. *)
   let inferred = Msccl_analysis.Symmetry.infer ir in
   let t5 = wall () in
   let orbit = inferred.Msccl_analysis.Symmetry.s_orbit in
-  let qraces = Races.find_quotient ~orbit ir in
+  let qraces = Races.find ~orbit ir in
   let t6 = wall () in
   if qraces <> races then
     failwith (sp_algo ^ ": quotient races diverge from the full pass");
-  let lint_full = Lint.run ir in
-  let t7 = wall () in
-  let lint_q = Lint.run ~orbit ir in
-  let t8 = wall () in
-  if Lint.has_errors lint_full || Lint.has_errors lint_q then
+  if Lint.has_errors (Lint.run ir) then
     failwith (sp_algo ^ ": lint errors at scale");
+  let t7 = wall () in
   let prov_full = Msccl_analysis.Provenance.analyze ~lints:false ir in
-  let t9 = wall () in
+  let t8 = wall () in
   let prov_q =
     Msccl_analysis.Provenance.analyze ~symmetry:inferred ~lints:false ir
   in
-  let t10 = wall () in
+  let t9 = wall () in
   (match
      ( prov_full.Msccl_analysis.Provenance.r_diags,
        prov_q.Msccl_analysis.Provenance.r_diags )
@@ -328,9 +323,8 @@ let scale_point ?sym sp_algo sp_ranks build =
       sp_infer_s = t5 -. t4;
       sp_races_q_s = t6 -. t5;
       sp_lint_s = t7 -. t6;
-      sp_lint_q_s = t8 -. t7;
-      sp_prov_s = t9 -. t8;
-      sp_prov_q_s = t10 -. t9;
+      sp_prov_s = t8 -. t7;
+      sp_prov_q_s = t9 -. t8;
       sp_orbits = Orbit.num_orbits orbit;
       sp_sym_compile_s = sym_compile_s;
       sp_sym_mode = sym_mode;
@@ -339,14 +333,14 @@ let scale_point ?sym sp_algo sp_ranks build =
   Printf.printf
     "compile %.2fs  verify %.2fs  races %.2fs  simulate %.2fs  total %.2fs \
      (%d steps, %.0f events/s)\n       symmetry: infer %.2fs  %d orbit(s)  \
-     races_q %.2fs (%.1fx)  lint %.2fs  lint_q %.2fs  prov %.2fs  \
+     races_q %.2fs (%.1fx)  lint %.2fs  prov %.2fs  \
      prov_q %.2fs (%.1fx, %s)\n"
     p.sp_compile_s p.sp_verify_s p.sp_races_s p.sp_simulate_s p.sp_total_s
     (Ir.num_steps ir)
     (float_of_int p.sp_events /. p.sp_simulate_s)
     p.sp_infer_s p.sp_orbits p.sp_races_q_s
     (p.sp_races_s /. Float.max p.sp_races_q_s 1e-9)
-    p.sp_lint_s p.sp_lint_q_s p.sp_prov_s p.sp_prov_q_s
+    p.sp_lint_s p.sp_prov_s p.sp_prov_q_s
     (p.sp_prov_s /. Float.max p.sp_prov_q_s 1e-9)
     prov_mode;
   if p.sp_sym_mode <> "none" then
@@ -434,7 +428,6 @@ let scale_point_sym_frontier () =
       sp_infer_s = 0.;
       sp_races_q_s = 0.;
       sp_lint_s = 0.;
-      sp_lint_q_s = 0.;
       sp_prov_s = 0.;
       sp_prov_q_s = 0.;
       sp_orbits = 1;
@@ -459,7 +452,7 @@ let point_json p =
         ("events_per_s", Float (float_of_int p.sp_events /. p.sp_simulate_s));
         ("symmetry_infer_s", Float p.sp_infer_s);
         ("races_quotient_s", Float p.sp_races_q_s);
-        ("lint_s", Float p.sp_lint_s); ("lint_quotient_s", Float p.sp_lint_q_s);
+        ("lint_s", Float p.sp_lint_s);
         ("provenance_s", Float p.sp_prov_s);
         ("provenance_quotient_s", Float p.sp_prov_q_s);
         ("orbits", Int p.sp_orbits);
@@ -498,7 +491,7 @@ let quotient_registry_gate () =
       | ir ->
           let s = Msccl_analysis.Symmetry.infer ir in
           let orbit = s.Msccl_analysis.Symmetry.s_orbit in
-          if Races.find_quotient ~orbit ir <> Races.find ir then
+          if Races.find ~orbit ir <> Races.find ir then
             failwith
               (spec.H.Registry.name
              ^ ": quotient races diverge from the full pass");

@@ -174,18 +174,25 @@ let build_params nodes gpus channels instances proto chunk_factor no_verify =
     verify = not no_verify;
   }
 
-let build_ir name params =
+(* Looks up a registered algorithm and runs [build] on it, turning the
+   compiler's rejections of bad parameters into one-line messages. *)
+let build_spec name build =
   match H.Registry.find name with
   | None ->
       Error
         (Printf.sprintf "unknown algorithm %S; try: %s" name
            (String.concat ", " (H.Registry.names ())))
   | Some spec -> (
-      try Ok (spec.H.Registry.build params) with
+      try Ok (build spec) with
       | Program.Trace_error m -> Error ("trace error: " ^ m)
       | Schedule.Scheduling_error m -> Error ("scheduling error: " ^ m)
-      | Failure m -> Error m
-      | Invalid_argument m -> Error m)
+      | Instances.Replication_error m
+      | Failure m
+      | Invalid_argument m ->
+          Error m)
+
+let build_ir name params =
+  build_spec name (fun spec -> spec.H.Registry.build params)
 
 (* Resolves a FILE or --algo input to IR (building algorithms with
    [params]) and runs [k] on it; unusable input exits 2. *)
@@ -235,42 +242,33 @@ let list_cmd =
    is the same IR as [build_ir] (a failed certification silently falls
    back to the full pipeline), only compile cost changes. *)
 let build_ir_sym algo params =
-  match H.Registry.find algo with
-  | None ->
-      Error
-        (Printf.sprintf "unknown algorithm %S; try: %s" algo
-           (String.concat ", " (H.Registry.names ())))
-  | Some { H.Registry.sym = None; _ } ->
-      Printf.eprintf
-        "%s declares no symmetry hint; using the full pipeline\n" algo;
-      build_ir algo params
-  | Some { H.Registry.sym = Some case; _ } -> (
-      let c = case params in
-      try
-        let report, outcome =
-          Msccl_analysis.Sym_compile.compile ~name:algo
-            ~proto:params.H.Registry.proto
-            ~instances:params.H.Registry.instances
-            ~verify:params.H.Registry.verify ~hint:c.H.Registry.sym_hint
-            c.H.Registry.sym_coll c.H.Registry.sym_program
-        in
-        (match outcome with
-        | Msccl_analysis.Sym_compile.Replicated s ->
-            Printf.eprintf
-              "symmetry-aware compile: replicated (certified %s, %d \
-               orbit(s))\n"
-              (match s.Msccl_analysis.Symmetry.s_generators with
-              | g :: _ -> g.Msccl_analysis.Symmetry.g_name
-              | [] -> "?")
-              (Orbit.num_orbits s.Msccl_analysis.Symmetry.s_orbit)
-        | Msccl_analysis.Sym_compile.Fell_back m ->
-            Printf.eprintf "symmetry-aware compile fell back: %s\n" m);
-        Ok report.Compile.ir
-      with
-      | Program.Trace_error m -> Error ("trace error: " ^ m)
-      | Schedule.Scheduling_error m -> Error ("scheduling error: " ^ m)
-      | Failure m -> Error m
-      | Invalid_argument m -> Error m)
+  build_spec algo (fun spec ->
+      match spec.H.Registry.sym with
+      | None ->
+          Printf.eprintf
+            "%s declares no symmetry hint; using the full pipeline\n" algo;
+          spec.H.Registry.build params
+      | Some case ->
+          let c = case params in
+          let report, outcome =
+            Msccl_analysis.Sym_compile.compile ~name:c.H.Registry.sym_name
+              ~proto:params.H.Registry.proto
+              ~instances:params.H.Registry.instances
+              ~verify:params.H.Registry.verify ~hint:c.H.Registry.sym_hint
+              c.H.Registry.sym_coll c.H.Registry.sym_program
+          in
+          (match outcome with
+          | Msccl_analysis.Sym_compile.Replicated s ->
+              Printf.eprintf
+                "symmetry-aware compile: replicated (certified %s, %d \
+                 orbit(s))\n"
+                (match s.Msccl_analysis.Symmetry.s_generators with
+                | g :: _ -> g.Msccl_analysis.Symmetry.g_name
+                | [] -> "?")
+                (Orbit.num_orbits s.Msccl_analysis.Symmetry.s_orbit)
+          | Msccl_analysis.Sym_compile.Fell_back m ->
+              Printf.eprintf "symmetry-aware compile fell back: %s\n" m);
+          report.Compile.ir)
 
 let compile_cmd =
   let output_arg =
@@ -519,7 +517,9 @@ let analyze_cmd =
   let symmetry_arg =
     let doc =
       "Infer and certify rank-permutation symmetries and report the rank \
-       orbits; race queries then run on one representative per orbit."
+       orbits. With $(b,--json), the race pass behind the reported \
+       $(i,races) count and $(i,hbgraph_stats) then runs on one \
+       representative rank per orbit."
     in
     Arg.(value & flag & info [ "symmetry" ] ~doc)
   in
@@ -550,20 +550,17 @@ let analyze_cmd =
         let prov = Msccl_analysis.Provenance.analyze ?symmetry:sym ir in
         if json then begin
           (* Drive the race pass explicitly so the happens-before stats
-             (and, under --symmetry, the quotient counters) are real. *)
+             are real; under --symmetry it runs quotiented by the
+             inferred orbits (the identity when nothing certifies). *)
           let hb =
             Hbgraph.build
               ~fifo_slots:(T.Protocol.num_slots ir.Ir.proto)
               ir
           in
-          let races =
-            match sym with
-            | Some s when Msccl_analysis.Symmetry.certified s ->
-                let orbit = s.Msccl_analysis.Symmetry.s_orbit in
-                Hbgraph.set_orbit hb orbit;
-                Races.find_quotient ~hb ~orbit ir
-            | _ -> Races.find ~hb ir
+          let orbit =
+            Option.map (fun s -> s.Msccl_analysis.Symmetry.s_orbit) sym
           in
+          let races = Races.find ~hb ?orbit ir in
           let sym_fields =
             match sym with
             | None -> []

@@ -1,7 +1,11 @@
 (** Out-of-place Ring AllGather: each rank's [chunk_factor] input chunks
     first move to their final position in the output buffer, then rotate
     around the ring (Fig. 3b's AllGather over the output buffer).
-    [channels] rotates hops across channels as in {!Ring_allreduce}. *)
+    [channels] rotates hops across channels as in {!Ring_allreduce}, and
+    must be at least 1 (else [Invalid_argument]). *)
+
+val name : channels:int -> string
+(** The IR name {!ir} gives its output for [channels]. *)
 
 val program :
   num_ranks:int -> chunk_factor:int -> channels:int ->

@@ -1,5 +1,7 @@
 open Msccl_core
 
+let name = "allpairs-allreduce"
+
 let program ~num_ranks prog =
   (* Gather: every rank q ships its copy of chunk r to rank r's scratch.
      Scratch slots are keyed by the sender's offset relative to the
@@ -63,5 +65,5 @@ let ir ?proto ?instances ?verify ~num_ranks () =
     Collective.make Collective.Allreduce ~num_ranks ~chunk_factor:num_ranks
       ~inplace:true ()
   in
-  Compile.ir ~name:"allpairs-allreduce" ?proto ?instances ?verify coll
+  Compile.ir ~name ?proto ?instances ?verify coll
     (program ~num_ranks)

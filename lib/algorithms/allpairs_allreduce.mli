@@ -8,6 +8,9 @@
     instead of [2R - 2], so at latency-bound sizes it is up to 1.8x faster
     than NCCL's Ring. *)
 
+val name : string
+(** The IR name {!ir} gives its output. *)
+
 val program : num_ranks:int -> Msccl_core.Program.t -> unit
 
 val hint : num_ranks:int -> Msccl_core.Sym_hint.t

@@ -4,6 +4,10 @@ let no_ch ~hop:_ = None
 
 let all_slots _ = true
 
+let rotate_channels ~who channels =
+  if channels < 1 then invalid_arg (who ^ ": channels < 1");
+  fun ~hop -> Some (hop mod channels)
+
 let ring_reduce_scatter prog ~ranks ?(buf = Buffer_id.Input) ~offset ~count
     ?stride ?(ch = no_ch) ?(only = all_slots) () =
   let stride = Option.value stride ~default:count in

@@ -20,6 +20,11 @@
     [~only:(Int.equal 0)] is exactly the representative slice a
     {!Msccl_core.Sym_hint.ring_shift} hint must trace. *)
 
+val rotate_channels : who:string -> int -> hop:int -> int option
+(** [rotate_channels ~who channels] is the [ch] that rotates the channel
+    with the hop number over [channels] channels. Raises
+    [Invalid_argument "<who>: channels < 1"] when [channels < 1]. *)
+
 val ring_reduce_scatter :
   Msccl_core.Program.t ->
   ranks:int list ->

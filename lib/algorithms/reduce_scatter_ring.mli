@@ -1,6 +1,11 @@
 (** Out-of-place Ring ReduceScatter: the classic single-pass ring (Fig. 3b)
     accumulates inside the input buffer, then each rank copies its finished
-    segment to its output buffer. *)
+    segment to its output buffer. [channels] rotates hops across channels
+    as in {!Ring_allreduce}, and must be at least 1 (else
+    [Invalid_argument]). *)
+
+val name : channels:int -> string
+(** The IR name {!ir} gives its output for [channels]. *)
 
 val program :
   num_ranks:int -> chunk_factor:int -> channels:int ->

@@ -1,15 +1,19 @@
 open Msccl_core
 
+let name ~channels = Printf.sprintf "ring-allreduce-ch%d" channels
+
+let rotate = Patterns.rotate_channels ~who:"Ring_allreduce"
+
 let program ~num_ranks ~channels prog =
   let ranks = List.init num_ranks Fun.id in
-  let ch ~hop = Some (hop mod channels) in
+  let ch = rotate channels in
   Patterns.ring_reduce_scatter prog ~ranks ~offset:0 ~count:1 ~ch ();
   Patterns.ring_all_gather prog ~ranks ~offset:0 ~count:1 ~ch
     ~hop_base:(num_ranks - 1) ()
 
 let hint ~num_ranks ~channels =
   let ranks = List.init num_ranks Fun.id in
-  let ch ~hop = Some (hop mod channels) in
+  let ch = rotate channels in
   let only = Int.equal 0 in
   (* Slot [r] of both ring passes is slot 0 shifted by [r] ranks with its
      chunk index shifted by [r]: slice 0 is one RS chain plus one AG
@@ -49,12 +53,9 @@ let ir_multi ?proto ?verify ~rings () =
     ?proto ?verify coll (program_multi ~rings)
 
 let ir ?proto ?(channels = 1) ?instances ?verify ~num_ranks () =
-  if channels < 1 then invalid_arg "Ring_allreduce: channels < 1";
   let coll =
     Collective.make Collective.Allreduce ~num_ranks ~chunk_factor:num_ranks
       ~inplace:true ()
   in
-  Compile.ir
-    ~name:(Printf.sprintf "ring-allreduce-ch%d" channels)
-    ?proto ?instances ?verify coll
+  Compile.ir ~name:(name ~channels) ?proto ?instances ?verify coll
     (program ~num_ranks ~channels)

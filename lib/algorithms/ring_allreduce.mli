@@ -13,7 +13,12 @@
     rrcs/rcs chain, which — combined with [instances = 24] — is exactly
     NCCL's own Ring schedule (§7.1.1).
 
-    [instances] replicates the whole program (the figures' [r]). *)
+    [instances] replicates the whole program (the figures' [r]).
+    {!program}, {!hint} and {!ir} raise [Invalid_argument] when
+    [channels < 1]. *)
+
+val name : channels:int -> string
+(** The IR name {!ir} gives its output for [channels]. *)
 
 val program : num_ranks:int -> channels:int -> Msccl_core.Program.t -> unit
 

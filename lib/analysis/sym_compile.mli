@@ -1,23 +1,23 @@
-(** Symmetry-aware compilation with post-hoc certification.
+(** Symmetry-aware compilation, always certified.
 
-    {!Msccl_core.Compile.compile_sym} builds the replicated IR from an
-    algorithm's {!Msccl_core.Sym_hint.t}; this wrapper certifies the
-    hint's rank permutation as a DAG automorphism with
-    {!Symmetry.verify_candidate} before accepting it, and silently falls
-    back to the full pipeline otherwise. The certificate doubles as the
-    input to the quotient analyses (races, lint, provenance), so a
-    symmetric program pays symmetry inference never and certification
-    once. *)
+    Only the representative slice of the program is traced and scheduled
+    ({!Msccl_core.Replicate.run} with the algorithm's
+    {!Msccl_core.Sym_hint.t}); the other ranks are instantiated by index
+    arithmetic. The hint is never trusted: its rank permutation is
+    certified as a DAG automorphism of the replicated IR with
+    {!Symmetry.verify_candidate}, and any construction or certification
+    failure silently reruns the full pipeline. The fast path changes
+    compile cost, never output. *)
 
 type outcome =
   | Replicated of Symmetry.t
       (** The replicated fast path was used; carries the certified
-          symmetry (generator + orbit partition) for quotient passes. *)
+          symmetry (generator + orbit partition). *)
   | Fell_back of string  (** Why the full pipeline ran instead. *)
 
-val certificate :
-  Msccl_core.Ir.t -> Msccl_core.Sym_hint.t -> (Symmetry.t, string) result
-(** Certify a hint's permutation against a materialized IR. *)
+exception Sym_mismatch of string
+(** Raised only in [~differential:true] mode when the replicated IR is
+    not {!Msccl_core.Ir.equal} to the full-trace IR. *)
 
 val compile :
   ?name:string ->
@@ -31,21 +31,8 @@ val compile :
   Msccl_core.Collective.t ->
   (Msccl_core.Program.t -> unit) ->
   Msccl_core.Compile.report * outcome
-(** {!Msccl_core.Compile.compile_sym} with certification wired in.
-    [~differential:true] additionally asserts byte-identical IR
-    ({!Msccl_core.Ir.equal}) against the full-trace pipeline, raising
-    {!Msccl_core.Compile.Sym_mismatch} on divergence. *)
-
-val ir :
-  ?name:string ->
-  ?fuse:bool ->
-  ?proto:Msccl_topology.Protocol.t ->
-  ?instances:int ->
-  ?verify:bool ->
-  ?lint:bool ->
-  ?differential:bool ->
-  hint:Msccl_core.Sym_hint.t ->
-  Msccl_core.Collective.t ->
-  (Msccl_core.Program.t -> unit) ->
-  Msccl_core.Ir.t
-(** Shorthand for [(fst (compile ...)).ir]. *)
+(** Like {!Msccl_core.Compile.compile} on the full program [f], through
+    the replicated fast path where the [hint] certifies.
+    [~differential:true] additionally compiles [f] through the full
+    pipeline and raises {!Sym_mismatch} unless the replicated IR is
+    identical. *)

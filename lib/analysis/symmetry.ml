@@ -385,15 +385,7 @@ let orbit_of_generators (ir : Ir.t) gens =
             end)
           gens
       done;
-      let tb_to_rep =
-        Array.map
-          (fun m ->
-            let inv = Array.make (Array.length m) 0 in
-            Array.iteri (fun i j -> inv.(j) <- i) m;
-            inv)
-          tb_of_rep
-      in
-      { Orbit.rep; tb_of_rep; tb_to_rep }
+      { Orbit.rep; tb_of_rep }
 
 let infer (ir : Ir.t) =
   let p = Array.length ir.Ir.gpus in

@@ -47,6 +47,14 @@ val compile :
   report
 (** Traces the program and runs {!compile_dag}. *)
 
+val finish : ?instances:int -> ?verify:bool -> ?lint:bool -> report -> report
+(** The tail of {!compile_dag} on a report whose [ir] is the scheduled,
+    unreplicated program: replication, verification and lint as
+    documented there (the report's [lint] is replaced). Lets another
+    producer of scheduled IR, such as the symmetry-aware compile in
+    [Msccl_analysis.Sym_compile], finish exactly like the traced
+    pipeline. *)
+
 val ir :
   ?name:string ->
   ?fuse:bool ->
@@ -60,38 +68,3 @@ val ir :
 (** Shorthand for [(compile ... ).ir]. *)
 
 val pp_report : Format.formatter -> report -> unit
-
-(** {1 Symmetry-aware compilation} *)
-
-type sym_outcome =
-  | Sym_replicated  (** The replicated fast path produced the IR. *)
-  | Sym_fallback of string
-      (** Why the full pipeline ran instead (bad hint, failed
-          certification, ...). Output is unaffected. *)
-
-exception Sym_mismatch of string
-(** Raised only in [~differential:true] mode when the replicated IR is
-    not byte-identical ({!Ir.equal}) to the full-trace IR. *)
-
-val compile_sym :
-  ?name:string ->
-  ?fuse:bool ->
-  ?proto:Msccl_topology.Protocol.t ->
-  ?instances:int ->
-  ?verify:bool ->
-  ?lint:bool ->
-  ?certify:(Ir.t -> (unit, string) result) ->
-  ?differential:bool ->
-  hint:Sym_hint.t ->
-  Collective.t ->
-  (Program.t -> unit) ->
-  report * sym_outcome
-(** Like {!compile}, but first attempts {!Replicate.run} with the
-    algorithm's symmetry [hint]: only the representative slice is traced
-    and scheduled, and the other ranks are instantiated by index
-    arithmetic. The hint is never trusted — [certify] (typically
-    symmetry certification from the analysis library) vets the
-    replicated IR, any {!Replicate.Fallback} or certification failure
-    silently reruns the full pipeline on [f], and [~differential:true]
-    additionally asserts {!Ir.equal} against the full-trace IR. The
-    fast path changes compile cost, never output. *)

@@ -18,10 +18,24 @@
     in {!mismatched_connections}) so lint rules can report them instead of
     crashing.
 
-    Reachability queries are answered from a transitive closure computed
-    once in topological order (bitset per node), not by per-query DFS;
-    graphs with cycles (or too many nodes for the closure) fall back to
-    DFS. *)
+    Reachability queries ({!reaches}) take one of two routes, by graph
+    size:
+
+    - up to 16 384 nodes, the first query computes the whole transitive
+      closure once in topological order (an n-bit row per node) and every
+      query is a bit test;
+    - above that, where n² bits would not fit, a query is first refuted
+      outright when the source's topological position is not below the
+      target's. A same-GPU query is then tried against that GPU's
+      intra-GPU closure (built on demand; only the most recently used
+      GPU's is kept). A miss falls back to a DFS that never expands a
+      node past the target's topological position. A source whose DFS
+      visits many nodes gets its full reachable-set row computed and
+      kept in a FIFO cache bounded at 32 MB, so later queries from it
+      are bit tests.
+
+    A graph with a cycle has no topological order; its queries use plain
+    DFS at any size. *)
 
 type t
 
@@ -73,15 +87,6 @@ val ordered : t -> int -> int -> bool
 (** [reaches t a b || reaches t b a]: the two steps cannot overlap at
     runtime. *)
 
-val set_orbit : t -> Orbit.t -> unit
-(** Installs a certified rank-orbit partition: subsequent same-GPU
-    reachability queries on an orbit member are translated to the orbit's
-    representative (whose certified automorphism preserves every
-    happens-before path), so closure rows, caches and DFS work are shared
-    across the orbit. The orbit MUST come from a certifying symmetry
-    inference; an uncertified orbit silently corrupts answers. Installing
-    an identity orbit clears the translation. *)
-
 type stats = {
   st_nodes : int;
   st_edges : int;
@@ -89,7 +94,10 @@ type stats = {
       (** The whole-graph n²-bit closure was materialized (small graphs
           only). *)
   st_queries : int;  (** Total [reaches] calls. *)
-  st_orbit_hits : int;  (** Queries answered on an orbit representative. *)
+  st_orbit_hits : int;
+      (** Always 0: queries are never translated to an orbit
+          representative. Kept so existing stats consumers and the CLI's
+          [orbit_hits] JSON key stay unchanged. *)
   st_pos_cutoffs : int;  (** Queries refuted by topological position. *)
   st_local_hits : int;  (** Queries answered by the per-GPU bitset closure. *)
   st_local_builds : int;  (** Per-GPU bitset closures built. *)

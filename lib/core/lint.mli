@@ -112,20 +112,11 @@ val compare_diag : diagnostic -> diagnostic -> int
 val run :
   ?fifo_slots:int ->
   ?max_tbs_per_channel:int ->
-  ?orbit:Orbit.t ->
   Ir.t ->
   diagnostic list
 (** Runs every rule. [fifo_slots] defaults to the IR protocol's slot
     count; [max_tbs_per_channel] defaults to 8. Diagnostics are sorted
-    errors-first, then by location and rule.
-
-    [orbit] must come from a sound symmetry certification
-    (e.g. [Msccl_analysis.Symmetry.infer]). When given and nontrivial,
-    per-GPU rules scan one representative rank per orbit and each finding
-    is deduplicated into a single diagnostic suffixed
-    [" (and N symmetric ranks)"]; global rules (fifo-deadlock,
-    conn-mismatch) still see every rank. With the identity orbit the
-    output is byte-identical to omitting the argument. *)
+    errors-first, then by location and rule. *)
 
 val errors : diagnostic list -> diagnostic list
 

@@ -1,24 +1,17 @@
 type t = {
   rep : int array;
   tb_of_rep : int array array;
-  tb_to_rep : int array array;
 }
 
 let identity (ir : Ir.t) =
   let n = Array.length ir.Ir.gpus in
   let idmap g = Array.init (Array.length ir.Ir.gpus.(g).Ir.tbs) (fun i -> i) in
-  {
-    rep = Array.init n (fun r -> r);
-    tb_of_rep = Array.init n idmap;
-    tb_to_rep = Array.init n idmap;
-  }
+  { rep = Array.init n (fun r -> r); tb_of_rep = Array.init n idmap }
 
 let is_identity t =
   let ok = ref true in
   Array.iteri (fun r v -> if v <> r then ok := false) t.rep;
   !ok
-
-let num_ranks t = Array.length t.rep
 
 let num_orbits t =
   let n = ref 0 in
@@ -48,7 +41,7 @@ let check_shape (ir : Ir.t) t =
   let fail fmt = Format.kasprintf (fun s -> Error s) fmt in
   if Array.length t.rep <> n then
     fail "orbit covers %d ranks but the program has %d" (Array.length t.rep) n
-  else if Array.length t.tb_of_rep <> n || Array.length t.tb_to_rep <> n then
+  else if Array.length t.tb_of_rep <> n then
     fail "orbit thread-block maps do not cover every rank"
   else begin
     let bad = ref None in
@@ -70,28 +63,30 @@ let check_shape (ir : Ir.t) t =
               Some
                 (Printf.sprintf "ranks %d and %d have different tb counts" r
                    rep)
-          else if
-            Array.length t.tb_of_rep.(r) <> k
-            || Array.length t.tb_to_rep.(r) <> k
-          then bad := Some (Printf.sprintf "rank %d tb map has wrong size" r)
+          else if Array.length t.tb_of_rep.(r) <> k then
+            bad := Some (Printf.sprintf "rank %d tb map has wrong size" r)
           else
+            let hit = Array.make k false in
             Array.iteri
               (fun i j ->
                 if !bad = None then
-                  if j < 0 || j >= k || t.tb_to_rep.(r).(j) <> i then
+                  if j < 0 || j >= k || hit.(j) then
                     bad :=
                       Some
                         (Printf.sprintf "rank %d tb map is not a bijection" r)
-                  else if
-                    Array.length tbs_rep.(i).Ir.steps
-                    <> Array.length tbs_r.(j).Ir.steps
-                  then
-                    bad :=
-                      Some
-                        (Printf.sprintf
-                           "rank %d tb %d and rank %d tb %d disagree on step \
-                            count"
-                           rep i r j))
+                  else begin
+                    hit.(j) <- true;
+                    if
+                      Array.length tbs_rep.(i).Ir.steps
+                      <> Array.length tbs_r.(j).Ir.steps
+                    then
+                      bad :=
+                        Some
+                          (Printf.sprintf
+                             "rank %d tb %d and rank %d tb %d disagree on \
+                              step count"
+                             rep i r j)
+                  end)
               t.tb_of_rep.(r)
         end
       end

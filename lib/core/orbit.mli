@@ -18,9 +18,6 @@ type t = {
   tb_of_rep : int array array;
       (** [tb_of_rep.(r).(t)] is the thread block of rank [r] corresponding
           to thread block [t] of its representative. *)
-  tb_to_rep : int array array;
-      (** Inverse of [tb_of_rep]: member thread block -> representative
-          thread block. *)
 }
 
 val identity : Ir.t -> t
@@ -28,8 +25,6 @@ val identity : Ir.t -> t
     pass. *)
 
 val is_identity : t -> bool
-
-val num_ranks : t -> int
 
 val num_orbits : t -> int
 
@@ -45,6 +40,5 @@ val orbit_size : t -> int -> int
 
 val check_shape : Ir.t -> t -> (unit, string) result
 (** Cheap structural sanity check (not a certification): array sizes
-    match the IR, [rep] is idempotent onto orbit minima, and the thread
-    block maps are mutually inverse bijections between blocks with equal
-    step counts. *)
+    match the IR, [rep] is idempotent onto orbit minima, and each thread
+    block map is a bijection between blocks with equal step counts. *)

@@ -42,9 +42,41 @@ let footprint (ir : Ir.t) (st : Ir.step) =
 let build_hb (ir : Ir.t) =
   Hbgraph.build ~fifo_slots:(Msccl_topology.Protocol.num_slots ir.Ir.proto) ir
 
-(* Race records for one GPU, as the dedup table's contents (keyed by
-   step pair, hazard and buffer; the least record per key survives so the
-   result does not depend on sweep order). *)
+(* Records the race between two overlapping same-GPU accesses
+   [(tb, step, is_write, loc)] in [seen], keyed by step pair, hazard and
+   buffer. A step pair can overlap through several location pairs; the
+   least record per key survives, so the result does not depend on
+   enumeration order. *)
+let record seen gpu ((tb1, s1, _, _) as a) ((tb2, s2, _, _) as b) =
+  let (tb1, s1, w1, (l1 : Loc.t)), (tb2, s2, w2, (l2 : Loc.t)) =
+    if (tb1, s1) <= (tb2, s2) then (a, b) else (b, a)
+  in
+  let hazard =
+    match (w1, w2) with
+    | true, true -> Waw
+    | true, false -> Raw
+    | false, true -> War
+    | false, false -> assert false
+  in
+  let key = (tb1, s1, tb2, s2, hazard, l1.Loc.buf) in
+  let race =
+    {
+      r_gpu = gpu;
+      r_tb1 = tb1;
+      r_step1 = s1;
+      r_tb2 = tb2;
+      r_step2 = s2;
+      r_hazard = hazard;
+      r_buf = l1.Loc.buf;
+      r_lo = max l1.Loc.index l2.Loc.index;
+      r_hi = min (l1.Loc.index + l1.Loc.count) (l2.Loc.index + l2.Loc.count) - 1;
+    }
+  in
+  match Hashtbl.find_opt seen key with
+  | Some prev -> if compare race prev < 0 then Hashtbl.replace seen key race
+  | None -> Hashtbl.replace seen key race
+
+(* Race records for one GPU, as the dedup table's contents. *)
 let find_gpu hb (ir : Ir.t) (g : Ir.gpu) =
   let accs = ref [] in
   Array.iter
@@ -60,49 +92,17 @@ let find_gpu hb (ir : Ir.t) (g : Ir.gpu) =
         tb.Ir.steps)
     g.Ir.tbs;
   (* Candidate pairs must touch the same buffer with overlapping index
-         intervals, so instead of testing all O(m^2) access pairs, accesses
-         are bucketed per buffer and swept in interval order: at each
-         access only the still-open intervals (hi > current lo) are
-         candidates. Only those pairs reach the happens-before query. The
-         emitted set is exactly the overlapping same-buffer pairs the
-         pairwise loop found; dedup and the final sort make the output
-         independent of sweep order. *)
+     intervals, so instead of testing all O(m^2) access pairs, accesses
+     are bucketed per buffer and swept in interval order: at each access
+     only the still-open intervals (hi > current lo) are candidates. Only
+     those pairs reach the happens-before query. The emitted set is
+     exactly the overlapping same-buffer pairs the pairwise loop found;
+     dedup and the final sort make the output independent of sweep
+     order. *)
   let seen = Hashtbl.create 16 in
-  let check (tb1, s1, n1, w1, (l1 : Loc.t)) (tb2, s2, n2, w2, (l2 : Loc.t)) =
-    if tb1 <> tb2 && (w1 || w2) && not (Hbgraph.ordered hb n1 n2) then begin
-      let (tb1, s1, w1, l1), (tb2, s2, w2, l2) =
-        if (tb1, s1) <= (tb2, s2) then ((tb1, s1, w1, l1), (tb2, s2, w2, l2))
-        else ((tb2, s2, w2, l2), (tb1, s1, w1, l1))
-      in
-      let hazard =
-        match (w1, w2) with
-        | true, true -> Waw
-        | true, false -> Raw
-        | false, true -> War
-        | false, false -> assert false
-      in
-      let key = (tb1, s1, tb2, s2, hazard, l1.Loc.buf) in
-      let race =
-        {
-          r_gpu = g.Ir.gpu_id;
-          r_tb1 = tb1;
-          r_step1 = s1;
-          r_tb2 = tb2;
-          r_step2 = s2;
-          r_hazard = hazard;
-          r_buf = l1.Loc.buf;
-          r_lo = max l1.Loc.index l2.Loc.index;
-          r_hi =
-            min (l1.Loc.index + l1.Loc.count) (l2.Loc.index + l2.Loc.count) - 1;
-        }
-      in
-      (* A step pair can overlap through several location pairs; keep
-         the least record so the survivor does not depend on
-         enumeration order. *)
-      match Hashtbl.find_opt seen key with
-      | Some prev -> if compare race prev < 0 then Hashtbl.replace seen key race
-      | None -> Hashtbl.replace seen key race
-    end
+  let check (tb1, s1, n1, w1, l1) (tb2, s2, n2, w2, l2) =
+    if tb1 <> tb2 && (w1 || w2) && not (Hbgraph.ordered hb n1 n2) then
+      record seen g.Ir.gpu_id (tb1, s1, w1, l1) (tb2, s2, w2, l2)
   in
   let by_buf = Hashtbl.create 8 in
   List.iter
@@ -135,24 +135,17 @@ let find_gpu hb (ir : Ir.t) (g : Ir.gpu) =
     by_buf;
   seen
 
-let find ?hb (ir : Ir.t) =
-  let hb = match hb with Some h -> h | None -> build_hb ir in
-  let races = ref [] in
-  Array.iter
-    (fun (g : Ir.gpu) ->
-      Hashtbl.iter (fun _key r -> races := r :: !races) (find_gpu hb ir g))
-    ir.Ir.gpus;
-  List.sort compare !races
-
 (* Expansion of a representative's racy step pair to an orbit member:
    the member's corresponding steps are racy iff the representative's are
    (the certified automorphism preserves happens-before both ways and its
    per-buffer chunk bijection preserves overlap), so no reachability
    query is needed — only the member's own footprints, whose overlapping
-   location pairs rebuild exactly the records [find] would have kept
-   (canonical pair order, hazards, least record per key). *)
-let expand_pair (ir : Ir.t) gpu_id (tb1, s1) (tb2, s2) steps1 steps2 seen =
-  let f1 = footprint ir steps1 and f2 = footprint ir steps2 in
+   location pairs rebuild exactly the records the member's own sweep
+   would have kept. *)
+let expand_pair (ir : Ir.t) gpu (tb1, s1) (tb2, s2) seen =
+  let footprint_at tb s =
+    footprint ir ir.Ir.gpus.(gpu).Ir.tbs.(tb).Ir.steps.(s)
+  in
   List.iter
     (fun (w1, (l1 : Loc.t)) ->
       List.iter
@@ -162,77 +155,44 @@ let expand_pair (ir : Ir.t) gpu_id (tb1, s1) (tb2, s2) steps1 steps2 seen =
             && Buffer_id.equal l1.Loc.buf l2.Loc.buf
             && l1.Loc.index < l2.Loc.index + l2.Loc.count
             && l2.Loc.index < l1.Loc.index + l1.Loc.count
-          then begin
-            let (tb1, s1, w1, l1), (tb2, s2, w2, l2) =
-              if (tb1, s1) <= (tb2, s2) then
-                ((tb1, s1, w1, l1), (tb2, s2, w2, l2))
-              else ((tb2, s2, w2, l2), (tb1, s1, w1, l1))
-            in
-            let hazard =
-              match (w1, w2) with
-              | true, true -> Waw
-              | true, false -> Raw
-              | false, true -> War
-              | false, false -> assert false
-            in
-            let key = (tb1, s1, tb2, s2, hazard, l1.Loc.buf) in
-            let race =
-              {
-                r_gpu = gpu_id;
-                r_tb1 = tb1;
-                r_step1 = s1;
-                r_tb2 = tb2;
-                r_step2 = s2;
-                r_hazard = hazard;
-                r_buf = l1.Loc.buf;
-                r_lo = max l1.Loc.index l2.Loc.index;
-                r_hi =
-                  min (l1.Loc.index + l1.Loc.count) (l2.Loc.index + l2.Loc.count)
-                  - 1;
-              }
-            in
-            match Hashtbl.find_opt seen key with
-            | Some prev ->
-                if compare race prev < 0 then Hashtbl.replace seen key race
-            | None -> Hashtbl.replace seen key race
-          end)
-        f2)
-    f1
+          then record seen gpu (tb1, s1, w1, l1) (tb2, s2, w2, l2))
+        (footprint_at tb2 s2))
+    (footprint_at tb1 s1)
 
-let find_quotient ?hb ?orbit (ir : Ir.t) =
-  let orbit = match orbit with Some o -> o | None -> Orbit.identity ir in
+let find ?hb ?orbit (ir : Ir.t) =
   let hb = match hb with Some h -> h | None -> build_hb ir in
+  let orbit = match orbit with Some o -> o | None -> Orbit.identity ir in
+  let rep = orbit.Orbit.rep in
+  let members = Array.make (Array.length rep) [] in
+  for m = Array.length rep - 1 downto 0 do
+    if rep.(m) <> m then members.(rep.(m)) <- m :: members.(rep.(m))
+  done;
   let races = ref [] in
-  List.iter
-    (fun rep ->
-      let g = ir.Ir.gpus.(rep) in
-      let seen = find_gpu hb ir g in
-      Hashtbl.iter (fun _key r -> races := r :: !races) seen;
-      (* Distinct racy step pairs at the representative (a pair can carry
-         several hazard keys; expand it once). *)
-      let pairs = Hashtbl.create 16 in
-      Hashtbl.iter
-        (fun _ r ->
-          Hashtbl.replace pairs (r.r_tb1, r.r_step1, r.r_tb2, r.r_step2) ())
-        seen;
-      List.iter
-        (fun m ->
-          if m <> rep then begin
+  let keep seen = Hashtbl.iter (fun _key r -> races := r :: !races) seen in
+  Array.iteri
+    (fun r (g : Ir.gpu) ->
+      if rep.(r) = r then begin
+        let seen = find_gpu hb ir g in
+        keep seen;
+        (* Distinct racy step pairs at the representative (a pair can
+           carry several hazard keys; expand it once). *)
+        let pairs = Hashtbl.create 16 in
+        Hashtbl.iter
+          (fun _ x ->
+            Hashtbl.replace pairs (x.r_tb1, x.r_step1, x.r_tb2, x.r_step2) ())
+          seen;
+        List.iter
+          (fun m ->
             let tb_of = orbit.Orbit.tb_of_rep.(m) in
-            let gm = ir.Ir.gpus.(m) in
             let mseen = Hashtbl.create 16 in
             Hashtbl.iter
               (fun (tb1, s1, tb2, s2) () ->
-                let tb1' = tb_of.(tb1) and tb2' = tb_of.(tb2) in
-                expand_pair ir m (tb1', s1) (tb2', s2)
-                  gm.Ir.tbs.(tb1').Ir.steps.(s1)
-                  gm.Ir.tbs.(tb2').Ir.steps.(s2)
-                  mseen)
+                expand_pair ir m (tb_of.(tb1), s1) (tb_of.(tb2), s2) mseen)
               pairs;
-            Hashtbl.iter (fun _key r -> races := r :: !races) mseen
-          end)
-        (Orbit.members orbit rep))
-    (Orbit.reps orbit);
+            keep mseen)
+          members.(r)
+      end)
+    ir.Ir.gpus;
   List.sort compare !races
 
 let pp_race fmt r =

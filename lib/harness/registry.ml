@@ -23,11 +23,11 @@ let default_params =
   }
 
 (* The raw ingredients of a symmetry-aware compile: what
-   [Msccl_core.Compile.compile_sym] (or its certifying wrapper
-   [Msccl_analysis.Sym_compile.compile]) needs to trace only the
+   [Msccl_analysis.Sym_compile.compile] needs to trace only the
    representative slice. Kept as data so the registry stays free of any
    analysis dependency. *)
 type sym_case = {
+  sym_name : string;
   sym_coll : Msccl_core.Collective.t;
   sym_program : Msccl_core.Program.t -> unit;
   sym_hint : Msccl_core.Sym_hint.t;
@@ -67,6 +67,7 @@ let all =
         Some
           (fun p ->
             {
+              sym_name = A.Ring_allreduce.name ~channels:p.channels;
               sym_coll = allreduce_coll p;
               sym_program =
                 A.Ring_allreduce.program ~num_ranks:(ranks p)
@@ -87,6 +88,7 @@ let all =
         Some
           (fun p ->
             {
+              sym_name = A.Allpairs_allreduce.name;
               sym_coll = allreduce_coll p;
               sym_program = A.Allpairs_allreduce.program ~num_ranks:(ranks p);
               sym_hint = A.Allpairs_allreduce.hint ~num_ranks:(ranks p);
@@ -140,6 +142,7 @@ let all =
         Some
           (fun p ->
             {
+              sym_name = A.Allgather_ring.name ~channels:p.channels;
               sym_coll =
                 C.make C.Allgather ~num_ranks:(ranks p)
                   ~chunk_factor:p.chunk_factor ();
@@ -163,6 +166,7 @@ let all =
         Some
           (fun p ->
             {
+              sym_name = A.Reduce_scatter_ring.name ~channels:p.channels;
               sym_coll =
                 C.make C.Reduce_scatter ~num_ranks:(ranks p)
                   ~chunk_factor:p.chunk_factor ();

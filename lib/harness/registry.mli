@@ -17,14 +17,14 @@ val default_params : params
     verification on. *)
 
 type sym_case = {
+  sym_name : string;  (** The IR name [build] gives the same params. *)
   sym_coll : Msccl_core.Collective.t;
   sym_program : Msccl_core.Program.t -> unit;
   sym_hint : Msccl_core.Sym_hint.t;
 }
 (** The ingredients of a symmetry-aware compile
-    ({!Msccl_core.Compile.compile_sym}, or its certifying wrapper
-    {!Msccl_analysis.Sym_compile.compile}): the collective, the full
-    program body, and the algorithm's rank-symmetry hint. *)
+    ({!Msccl_analysis.Sym_compile.compile}): the IR name, the collective,
+    the full program body, and the algorithm's rank-symmetry hint. *)
 
 type spec = {
   name : string;

@@ -155,35 +155,11 @@ let qcheck_round_trip =
 (* CLI pins                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* Tests run in _build/default/test; the CLI runs from _build/default so
-   the corpus paths it prints read test/corpus/..., as in the goldens. *)
-let root = Filename.dirname (Sys.getcwd ())
-
+(* [Testutil.run_cli] runs the CLI from _build/default, so the corpus
+   paths it prints read test/corpus/..., as in the goldens. *)
 let pins_dir = "corpus/json-pins"
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
-
-let run_cli args =
-  let cwd = Sys.getcwd () in
-  Sys.chdir root;
-  Fun.protect
-    ~finally:(fun () -> Sys.chdir cwd)
-    (fun () ->
-      let out_r, out_w = Unix.pipe ~cloexec:true () in
-      let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
-      let pid =
-        Unix.create_process "bin/msccl_cli.exe"
-          (Array.of_list ("msccl" :: args))
-          Unix.stdin out_w null
-      in
-      Unix.close out_w;
-      Unix.close null;
-      let ic = Unix.in_channel_of_descr out_r in
-      let out = In_channel.input_all ic in
-      close_in ic;
-      match Unix.waitpid [] pid with
-      | _, Unix.WEXITED code -> (code, out)
-      | _ -> Alcotest.failf "msccl %s: killed" (String.concat " " args))
 
 (* The number tokens of a JSON text, in document order. *)
 let number_tokens s =
@@ -314,12 +290,12 @@ let text_pins =
   ]
 
 let test_json_pin (golden, code, args) () =
-  let got_code, out = run_cli args in
+  let got_code, out, _ = Testutil.run_cli args in
   Alcotest.(check int) (golden ^ " exit code") code got_code;
   check_structural golden (read_file (Filename.concat pins_dir golden)) out
 
 let test_text_pin (golden, args) () =
-  let code, out = run_cli args in
+  let code, out, _ = Testutil.run_cli args in
   Alcotest.(check int) (golden ^ " exit code") 0 code;
   Alcotest.(check string) golden
     (read_file (Filename.concat pins_dir golden))
@@ -330,8 +306,8 @@ let test_trace_pin () =
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      let code, _ =
-        run_cli
+      let code, _, _ =
+        Testutil.run_cli
           [ "simulate"; "ring-allreduce"; "-t"; "ndv4:1"; "-s"; "1KB";
             "--trace"; path ]
       in
@@ -352,7 +328,7 @@ let test_invalid_utf8_file_name () =
       Sys.remove path;
       Sys.rmdir dir)
     (fun () ->
-      let code, out = run_cli [ "verify"; path; "--json" ] in
+      let code, out, _ = Testutil.run_cli [ "verify"; path; "--json" ] in
       Alcotest.(check int) "rejected" 2 code;
       let repaired = Filename.concat dir "name\u{fffd}.xml" in
       match parse_exn "verify --json" out with

@@ -95,3 +95,34 @@ let reparse v =
   match Json.parse (Json.to_string v) with
   | Ok v -> v
   | Error m -> Alcotest.failf "invalid JSON: %s" m
+
+(* Runs the built CLI with [args] from _build/default (tests run in
+   _build/default/test) and returns its exit code, stdout and stderr.
+   stderr goes through a file so a full pipe cannot stall the child. *)
+let run_cli args =
+  let cwd = Sys.getcwd () in
+  let err_path = Filename.temp_file "msccl-stderr" ".txt" in
+  Sys.chdir (Filename.dirname cwd);
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.chdir cwd;
+      Sys.remove err_path)
+    (fun () ->
+      let out_r, out_w = Unix.pipe ~cloexec:true () in
+      let err =
+        Unix.openfile err_path [ Unix.O_WRONLY; Unix.O_TRUNC; Unix.O_CLOEXEC ] 0
+      in
+      let pid =
+        Unix.create_process "bin/msccl_cli.exe"
+          (Array.of_list ("msccl" :: args))
+          Unix.stdin out_w err
+      in
+      Unix.close out_w;
+      Unix.close err;
+      let ic = Unix.in_channel_of_descr out_r in
+      let out = In_channel.input_all ic in
+      close_in ic;
+      match Unix.waitpid [] pid with
+      | _, Unix.WEXITED code ->
+          (code, out, In_channel.with_open_bin err_path In_channel.input_all)
+      | _ -> Alcotest.failf "msccl %s: killed" (String.concat " " args))
