@@ -169,9 +169,134 @@ let write_json path v =
   Json.to_file path v;
   Printf.printf "wrote %s\n%!" path
 
+(* The reader passes a user pays for after a compile, timed in process on
+   256-rank IRs (ring, allpairs, hierarchical on ndv4:32) and ring at 512
+   ranks, each the best of five runs:
+   - Perfcheck.lint (the analyze command's pricing and perf rules);
+   - Verify.check (structure, deadlock freedom, postcondition);
+   - Analysis.analyze (show --stats);
+   - Executor.Symbolic.run_collective (the symbolic executor alone).
+   The ring@512 / ring@256 lint ratio shows whether the passes grow with
+   the IR (4x the steps) or faster. *)
+type reader_point = {
+  rp_algo : string;
+  rp_ranks : int;
+  rp_steps : int;
+  rp_lint_s : float;
+  rp_verify_s : float;
+  rp_analysis_s : float;
+  rp_executor_s : float;
+}
+
+let best_of n f =
+  let best = ref infinity in
+  for _ = 1 to n do
+    let t0 = Unix.gettimeofday () in
+    ignore (f ());
+    best := Float.min !best (Unix.gettimeofday () -. t0)
+  done;
+  !best
+
+(* The IRs of one call are timed together: each round runs a pass on
+   every IR in turn, so a drift in the machine's speed hits them alike
+   and their ratios hold. *)
+let reader_points cases =
+  let irs =
+    List.map
+      (fun (algo, ranks, build) ->
+        (algo, ranks, build (), T.Presets.ndv4 ~nodes:(ranks / 8)))
+      cases
+  in
+  (* Start from a heap holding the IRs alone, not the compiles' garbage. *)
+  Gc.compact ();
+  List.iter
+    (fun (algo, ranks, ir, _) ->
+      match Verify.check ir with
+      | Ok () -> ()
+      | Error m -> failwith (Printf.sprintf "%s@%d: %s" algo ranks m))
+    irs;
+  let best pass =
+    let best = Array.make (List.length irs) infinity in
+    for _ = 1 to 5 do
+      List.iteri
+        (fun i (_, _, ir, topo) ->
+          let t0 = Unix.gettimeofday () in
+          pass topo ir;
+          best.(i) <- Float.min best.(i) (Unix.gettimeofday () -. t0))
+        irs
+    done;
+    best
+  in
+  let lint = best (fun topo ir -> ignore (Perfcheck.lint ~topo ir)) in
+  let verify = best (fun _ ir -> ignore (Verify.check ir)) in
+  let analysis = best (fun _ ir -> ignore (Analysis.analyze ir)) in
+  let executor =
+    best (fun _ ir -> ignore (Executor.Symbolic.run_collective ir))
+  in
+  List.mapi
+    (fun i (rp_algo, rp_ranks, ir, _) ->
+      let p =
+        {
+          rp_algo;
+          rp_ranks;
+          rp_steps = Ir.num_steps ir;
+          rp_lint_s = lint.(i);
+          rp_verify_s = verify.(i);
+          rp_analysis_s = analysis.(i);
+          rp_executor_s = executor.(i);
+        }
+      in
+      Printf.printf
+        "%-8s %4d ranks (%6d steps): Perfcheck.lint %.3fs  Verify.check \
+         %.3fs  Analysis.analyze %.3fs  run_collective %.3fs\n%!"
+        p.rp_algo p.rp_ranks p.rp_steps p.rp_lint_s p.rp_verify_s
+        p.rp_analysis_s p.rp_executor_s;
+      p)
+    irs
+
+(* The analyze command on the ring@256 file against the ingest it starts
+   with: Ingest.load in process, and the built CLI (next to this
+   executable under _build) as a process, best of five each. *)
+let analyze_file_point () =
+  let ir =
+    A.Ring_allreduce.ir ~proto:T.Protocol.Simple ~verify:false ~num_ranks:256
+      ()
+  in
+  let file = Filename.temp_file "ring256" ".xml" in
+  Xml.save ir file;
+  let ingest_s = best_of 5 (fun () -> Msccl_interop.Ingest.load file) in
+  let cli =
+    Filename.concat
+      (Filename.dirname (Filename.dirname Sys.executable_name))
+      (Filename.concat "bin" "msccl_cli.exe")
+  in
+  let cli_s =
+    if Sys.file_exists cli then
+      Some
+        (best_of 5 (fun () ->
+             let cmd =
+               Filename.quote_command cli ~stdout:Filename.null
+                 [ "analyze"; file; "-t"; "ndv4:32" ]
+             in
+             if Sys.command cmd <> 0 then failwith ("failed: " ^ cmd)))
+    else None
+  in
+  Sys.remove file;
+  (match cli_s with
+  | Some c ->
+      Printf.printf
+        "ring@256 file: Ingest.load %.3fs, CLI analyze %.3fs (%.2fx)\n%!"
+        ingest_s c (c /. ingest_s)
+  | None ->
+      Printf.printf
+        "ring@256 file: Ingest.load %.3fs; CLI analyze skipped (%s not \
+         built)\n%!"
+        ingest_s cli);
+  (ingest_s, cli_s)
+
 (* Wall-time of the registry-wide perfcheck sweep (every algorithm priced
-   on every default config), written to BENCH_perfcheck.json so CI can
-   track the analyzer's own cost over time. *)
+   on every default config) plus the reader-pass points above, written to
+   BENCH_perfcheck.json so CI can track the analyzers' own cost. *)
 let run_perfcheck () =
   let t0 = Unix.gettimeofday () in
   let entries = H.Lint_sweep.run_perf () in
@@ -185,14 +310,60 @@ let run_perfcheck () =
       (0, 0) entries
   in
   Printf.printf
-    "== perfcheck sweep: %d configs (%d analyzed, %d skipped) in %.3f s ==\n"
+    "== perfcheck sweep: %d configs (%d analyzed, %d skipped) in %.3f s ==\n%!"
     (List.length entries) analyzed skipped dt;
+  let ring n () =
+    A.Ring_allreduce.ir ~proto:T.Protocol.Simple ~verify:false ~num_ranks:n ()
+  in
+  let points =
+    List.concat_map reader_points
+      [
+        [ ("ring", 256, ring 256); ("ring", 512, ring 512) ];
+        [
+          ( "allpairs", 256,
+            fun () ->
+              A.Allpairs_allreduce.ir ~proto:T.Protocol.Simple ~verify:false
+                ~num_ranks:256 () );
+        ];
+        [
+          ( "hier", 256,
+            fun () ->
+              A.Hierarchical_allreduce.ir ~proto:T.Protocol.Simple
+                ~verify:false ~nodes:32 ~gpus_per_node:8 () );
+        ];
+      ]
+  in
+  let lint_of ranks =
+    (List.find (fun p -> p.rp_algo = "ring" && p.rp_ranks = ranks) points)
+      .rp_lint_s
+  in
+  let lint_ratio = lint_of 512 /. lint_of 256 in
+  Printf.printf "Perfcheck.lint ring@512 / ring@256: %.2fx\n%!" lint_ratio;
+  let ingest_s, cli_s = analyze_file_point () in
+  let point p =
+    Json.(
+      Obj
+        [ ("algo", String p.rp_algo); ("ranks", Int p.rp_ranks);
+          ("steps", Int p.rp_steps); ("perfcheck_lint_s", Float p.rp_lint_s);
+          ("verify_check_s", Float p.rp_verify_s);
+          ("analysis_analyze_s", Float p.rp_analysis_s);
+          ("run_collective_s", Float p.rp_executor_s) ])
+  in
+  let opt = function Some x -> Json.Float x | None -> Json.Null in
   write_json "BENCH_perfcheck.json"
     Json.(
       Obj
-        [ ("benchmark", String "perfcheck-sweep");
+        [ ("benchmark", String "perfcheck");
           ("configs", Int (List.length entries)); ("analyzed", Int analyzed);
-          ("skipped", Int skipped); ("wall_s", Float dt) ])
+          ("skipped", Int skipped); ("wall_s", Float dt);
+          ("reader_passes", List (List.map point points));
+          ("lint_ring512_over_ring256", Float lint_ratio);
+          ( "ring256_file",
+            Obj
+              [ ("ingest_load_s", Float ingest_s);
+                ("cli_analyze_s", opt cli_s);
+                ( "cli_analyze_over_ingest",
+                  opt (Option.map (fun c -> c /. ingest_s) cli_s) ) ] ) ])
 
 (* ------------------------------------------------------------------ *)
 (* Scale benchmark: the full pipeline at cluster sizes                  *)

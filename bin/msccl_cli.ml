@@ -580,7 +580,7 @@ let analyze_cmd =
         else begin
           Format.printf "%s on %s@.%a@.%a@." (Ir.summary ir)
             (T.Topology.name topology)
-            Analysis.pp (Analysis.analyze ir) Perfcheck.pp report;
+            Analysis.pp report.Perfcheck.analysis Perfcheck.pp report;
           (match sym with
           | None -> ()
           | Some s ->

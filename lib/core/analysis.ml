@@ -32,42 +32,52 @@ type t = {
   scratch_chunks_total : int;
 }
 
-(* Longest path over the same waiting graph the deadlock checker uses,
-   minus the FIFO back-pressure edges (which bound buffering, not data
-   flow). *)
-let critical_path_of (ir : Ir.t) = Hbgraph.longest_path (Hbgraph.build ir)
-
-let analyze (ir : Ir.t) =
+let analyze ?hb (ir : Ir.t) =
   let conn_tbl = Hashtbl.create 32 in
   let fused = ref 0 and reductions = ref 0 and locals = ref 0 in
-  Ir.iter_steps ir (fun g tb st ->
-      (match st.Ir.op with
-      | Instr.Recv_copy_send | Instr.Recv_reduce_send
-      | Instr.Recv_reduce_copy_send ->
-          incr fused
-      | Instr.Send | Instr.Recv | Instr.Copy | Instr.Reduce
-      | Instr.Recv_reduce_copy | Instr.Nop ->
-          ());
-      (match st.Ir.op with
-      | Instr.Reduce | Instr.Recv_reduce_copy | Instr.Recv_reduce_send
-      | Instr.Recv_reduce_copy_send ->
-          incr reductions
-      | Instr.Send | Instr.Recv | Instr.Copy | Instr.Recv_copy_send
-      | Instr.Nop ->
-          ());
-      (match st.Ir.op with
-      | Instr.Copy | Instr.Reduce -> incr locals
-      | Instr.Send | Instr.Recv | Instr.Recv_reduce_copy
-      | Instr.Recv_copy_send | Instr.Recv_reduce_send
-      | Instr.Recv_reduce_copy_send | Instr.Nop ->
-          ());
-      if Instr.sends st.Ir.op then begin
-        let key = (g.Ir.gpu_id, tb.Ir.send, tb.Ir.chan) in
-        let msgs, chunks =
-          Option.value ~default:(0, 0) (Hashtbl.find_opt conn_tbl key)
-        in
-        Hashtbl.replace conn_tbl key (msgs + 1, chunks + st.Ir.count)
-      end);
+  let count_step msgs chunks (st : Ir.step) =
+    (match st.Ir.op with
+    | Instr.Recv_copy_send | Instr.Recv_reduce_send
+    | Instr.Recv_reduce_copy_send ->
+        incr fused
+    | Instr.Send | Instr.Recv | Instr.Copy | Instr.Reduce
+    | Instr.Recv_reduce_copy | Instr.Nop ->
+        ());
+    (match st.Ir.op with
+    | Instr.Reduce | Instr.Recv_reduce_copy | Instr.Recv_reduce_send
+    | Instr.Recv_reduce_copy_send ->
+        incr reductions
+    | Instr.Send | Instr.Recv | Instr.Copy | Instr.Recv_copy_send
+    | Instr.Nop ->
+        ());
+    (match st.Ir.op with
+    | Instr.Copy | Instr.Reduce -> incr locals
+    | Instr.Send | Instr.Recv | Instr.Recv_reduce_copy
+    | Instr.Recv_copy_send | Instr.Recv_reduce_send
+    | Instr.Recv_reduce_copy_send | Instr.Nop ->
+        ());
+    if Instr.sends st.Ir.op then begin
+      incr msgs;
+      chunks := !chunks + st.Ir.count
+    end
+  in
+  (* A thread block's sends all go on its one connection: total them
+     per thread block, then per connection. *)
+  Array.iter
+    (fun (g : Ir.gpu) ->
+      Array.iter
+        (fun (tb : Ir.tb) ->
+          let msgs = ref 0 and chunks = ref 0 in
+          Array.iter (count_step msgs chunks) tb.Ir.steps;
+          if !msgs > 0 then begin
+            let key = (g.Ir.gpu_id, tb.Ir.send, tb.Ir.chan) in
+            let m, c =
+              Option.value ~default:(0, 0) (Hashtbl.find_opt conn_tbl key)
+            in
+            Hashtbl.replace conn_tbl key (m + !msgs, c + !chunks)
+          end)
+        g.Ir.tbs)
+    ir.Ir.gpus;
   let connections =
     Hashtbl.fold
       (fun (src, dst, chan) (msgs, chunks) acc ->
@@ -82,8 +92,13 @@ let analyze (ir : Ir.t) =
       conn_tbl []
     |> List.sort (fun a b ->
            match Int.compare b.conn_chunks a.conn_chunks with
-           | 0 -> compare (a.conn_src, a.conn_dst, a.conn_chan)
-                    (b.conn_src, b.conn_dst, b.conn_chan)
+           | 0 -> (
+               match Int.compare a.conn_src b.conn_src with
+               | 0 -> (
+                   match Int.compare a.conn_dst b.conn_dst with
+                   | 0 -> Int.compare a.conn_chan b.conn_chan
+                   | c -> c)
+               | c -> c)
            | c -> c)
   in
   (* The same traffic aggregated per physical (src, dst) link: many
@@ -113,7 +128,10 @@ let analyze (ir : Ir.t) =
       link_tbl []
     |> List.sort (fun a b ->
            match Int.compare b.link_chunks a.link_chunks with
-           | 0 -> compare (a.link_src, a.link_dst) (b.link_src, b.link_dst)
+           | 0 -> (
+               match Int.compare a.link_src b.link_src with
+               | 0 -> Int.compare a.link_dst b.link_dst
+               | c -> c)
            | c -> c)
   in
   let tbs = Ir.num_thread_blocks ir in
@@ -129,7 +147,12 @@ let analyze (ir : Ir.t) =
     total_steps = steps;
     total_thread_blocks = tbs;
     channels = Ir.num_channels ir;
-    critical_path = critical_path_of ir;
+    (* Longest path over the same waiting graph the deadlock checker
+       uses, minus the FIFO back-pressure edges (which bound buffering,
+       not data flow). *)
+    critical_path =
+      Hbgraph.longest_path
+        (match hb with Some hb -> hb | None -> Hbgraph.build ir);
     max_steps_per_tb = max_steps;
     avg_steps_per_tb =
       (if tbs = 0 then 0. else float_of_int steps /. float_of_int tbs);

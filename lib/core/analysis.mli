@@ -48,7 +48,10 @@ type t = {
   scratch_chunks_total : int;
 }
 
-val analyze : Ir.t -> t
+val analyze : ?hb:Hbgraph.t -> Ir.t -> t
+(** [hb], when given, must be [Hbgraph.build ir] (no FIFO edges): the
+    critical path is its longest path, so a caller that already built the
+    graph ({!Perfcheck.analyze}) does not pay for a second one. *)
 
 val pp : Format.formatter -> t -> unit
 (** Multi-line human-readable report. *)

@@ -23,7 +23,8 @@ module type S = sig
       op:Instr.opcode ->
       payload:v array ->
       unit) ->
-    ?on_write:(writer:int * int * int -> loc:Loc.t -> unit) ->
+    ?on_write:
+      (state -> writer:int * int * int -> loc:Loc.t -> vals:v array -> unit) ->
     init:(rank:int -> index:int -> v option) ->
     Ir.t ->
     state
@@ -49,6 +50,14 @@ module Make (V : VALUE) = struct
     mutable executed : int;
   }
 
+  (* A message in a connection FIFO, with the step that sent it. *)
+  type message = {
+    payload : v array;
+    from_gpu : int;
+    from_tb : int;
+    from_step : int;
+  }
+
   let input st ~rank = st.buffers.(rank).b_input
   let output st ~rank = st.buffers.(rank).b_output
   let scratch st ~rank = st.buffers.(rank).b_scratch
@@ -61,29 +70,32 @@ module Make (V : VALUE) = struct
     | Buffer_id.Output -> if inplace then b.b_input else b.b_output
     | Buffer_id.Scratch -> b.b_scratch
 
-  (* [ctx] names the executing instruction — "rank R tb T step S (op)" —
-     so a failure in a large fuzzed or shrunk IR is diagnosable without a
-     debugger. *)
-  let read st ~inplace ~ctx (l : Loc.t) =
-    let arr = buffer_of st ~inplace l in
-    Array.init l.Loc.count (fun k ->
-        let idx = l.Loc.index + k in
-        if idx >= Array.length arr then
-          error "%s: read past end of %s buffer at %a" ctx
-            (Buffer_id.long_name l.Loc.buf) Loc.pp l;
-        match arr.(idx) with
-        | Some v -> v
-        | None ->
-            error "%s: reading uninitialized chunk at rank %d %s[%d]" ctx
-              l.Loc.rank
-              (Buffer_id.long_name l.Loc.buf) idx)
+  (* [ctx g tb d] names the executing instruction — "rank R tb T step S
+     (op)" — so a failure in a large fuzzed or shrunk IR is diagnosable
+     without a debugger. Only the error paths build it. *)
+  let ctx (g : Ir.gpu) (tb : Ir.tb) d =
+    Printf.sprintf "rank %d tb %d step %d (%s)" g.Ir.gpu_id tb.Ir.tb_id d
+      (Instr.opcode_name tb.Ir.steps.(d).Ir.op)
 
-  let write st ~inplace ~ctx (l : Loc.t) vals =
-    let arr = buffer_of st ~inplace l in
-    if l.Loc.index + l.Loc.count > Array.length arr then
-      error "%s: write past end of %s buffer at rank %d" ctx
-        (Buffer_id.long_name l.Loc.buf) l.Loc.rank;
-    Array.iteri (fun k v -> arr.(l.Loc.index + k) <- Some (V.copy v)) vals
+  (* Slot [k] of loc [l]'s span, which must hold a value. *)
+  let slot arr g tb d (l : Loc.t) k =
+    let idx = l.Loc.index + k in
+    if idx >= Array.length arr then
+      error "%s: read past end of %s buffer at %a" (ctx g tb d)
+        (Buffer_id.long_name l.Loc.buf) Loc.pp l;
+    match arr.(idx) with
+    | Some v -> v
+    | None ->
+        error "%s: reading uninitialized chunk at rank %d %s[%d]" (ctx g tb d)
+          l.Loc.rank
+          (Buffer_id.long_name l.Loc.buf) idx
+
+  let read st ~inplace g tb d (l : Loc.t) =
+    Array.init l.Loc.count (slot (buffer_of st ~inplace l) g tb d l)
+
+  let rec deps_met sem = function
+    | [] -> true
+    | (dtb, dstep) :: rest -> sem.(dtb) > dstep && deps_met sem rest
 
   let run ?slots ?on_deliver ?on_write ~init (ir : Ir.t) =
     let slots =
@@ -98,10 +110,13 @@ module Make (V : VALUE) = struct
         buffers =
           Array.map
             (fun (g : Ir.gpu) ->
-              let b_input =
-                Array.init g.Ir.input_chunks (fun index ->
-                    init ~rank:g.Ir.gpu_id ~index)
-              in
+              (* Filled in place: [Array.init] of a block too large for
+                 the minor heap runs a minor collection to promote its
+                 first element, which costs one collection per rank. *)
+              let b_input = Array.make g.Ir.input_chunks None in
+              for index = 0 to g.Ir.input_chunks - 1 do
+                b_input.(index) <- init ~rank:g.Ir.gpu_id ~index
+              done;
               {
                 b_input;
                 b_output =
@@ -115,8 +130,7 @@ module Make (V : VALUE) = struct
     in
     (* Connection FIFOs: (src, dst, ch) -> queued messages, each tagged
        with the sending step's (gpu, tb, step) for observers. *)
-    let queues :
-        (int * int * int, (v array * (int * int * int)) Queue.t) Hashtbl.t =
+    let queues : (int * int * int, message Queue.t) Hashtbl.t =
       Hashtbl.create 32
     in
     let queue key =
@@ -126,6 +140,31 @@ module Make (V : VALUE) = struct
           let q = Queue.create () in
           Hashtbl.add queues key q;
           q
+    in
+    (* Each thread block's send and receive FIFO, looked up in [queues]
+       the first time one of its steps needs it — the moment the table
+       would have created it anyway, so the leftover-message check below
+       visits connections in the same order. *)
+    let cached key =
+      let cache =
+        Array.map
+          (fun (g : Ir.gpu) -> Array.make (Array.length g.Ir.tbs) None)
+          ir.Ir.gpus
+      in
+      fun (g : Ir.gpu) (tb : Ir.tb) ->
+        match cache.(g.Ir.gpu_id).(tb.Ir.tb_id) with
+        | Some q -> q
+        | None ->
+            let q = queue (key g tb) in
+            cache.(g.Ir.gpu_id).(tb.Ir.tb_id) <- Some q;
+            q
+    in
+    let send_fifo =
+      cached (fun (g : Ir.gpu) (tb : Ir.tb) ->
+          (g.Ir.gpu_id, tb.Ir.send, tb.Ir.chan))
+    and recv_fifo =
+      cached (fun (g : Ir.gpu) (tb : Ir.tb) ->
+          (tb.Ir.recv, g.Ir.gpu_id, tb.Ir.chan))
     in
     (* Per-thread-block progress: number of completed steps (the runtime's
        semaphores, §6.2). *)
@@ -144,95 +183,101 @@ module Make (V : VALUE) = struct
       | Some (dtb, dstep) ->
           Printf.sprintf "waiting on semaphore (tb %d, step %d)" dtb dstep
       | None ->
-          if
-            Instr.receives step.Ir.op
-            && Queue.is_empty (queue (tb.Ir.recv, g.Ir.gpu_id, tb.Ir.chan))
-          then Printf.sprintf "waiting for data from rank %d" tb.Ir.recv
+          if Instr.receives step.Ir.op && Queue.is_empty (recv_fifo g tb) then
+            Printf.sprintf "waiting for data from rank %d" tb.Ir.recv
           else if
-            Instr.sends step.Ir.op
-            && Queue.length (queue (g.Ir.gpu_id, tb.Ir.send, tb.Ir.chan))
-               >= slots
+            Instr.sends step.Ir.op && Queue.length (send_fifo g tb) >= slots
           then
             Printf.sprintf "all %d FIFO slots to rank %d are full" slots
               tb.Ir.send
           else "unknown"
     in
+    (* The data movements of step [d] of [tb] on [g]; they only run once
+       the step may fire, so they never block. *)
+    let push (g : Ir.gpu) (tb : Ir.tb) d vals =
+      Queue.add
+        { payload = vals; from_gpu = g.Ir.gpu_id; from_tb = tb.Ir.tb_id;
+          from_step = d }
+        (send_fifo g tb)
+    in
+    let pop (g : Ir.gpu) (tb : Ir.tb) d op =
+      let m = Queue.pop (recv_fifo g tb) in
+      (match on_deliver with
+      | Some f ->
+          f st
+            ~src:(m.from_gpu, m.from_tb, m.from_step)
+            ~dst:(g.Ir.gpu_id, tb.Ir.tb_id, d)
+            ~op ~payload:m.payload
+      | None -> ());
+      m.payload
+    in
+    let rd g tb d l = read st ~inplace g tb d l in
+    let wr (g : Ir.gpu) (tb : Ir.tb) d (l : Loc.t) vals =
+      let arr = buffer_of st ~inplace l in
+      if l.Loc.index + l.Loc.count > Array.length arr then
+        error "%s: write past end of %s buffer at rank %d" (ctx g tb d)
+          (Buffer_id.long_name l.Loc.buf) l.Loc.rank;
+      (match on_write with
+      | Some f -> f st ~writer:(g.Ir.gpu_id, tb.Ir.tb_id, d) ~loc:l ~vals
+      | None -> ());
+      for k = 0 to Array.length vals - 1 do
+        arr.(l.Loc.index + k) <- Some (V.copy vals.(k))
+      done
+    in
     let try_step (g : Ir.gpu) (tb : Ir.tb) =
-      let rank = g.Ir.gpu_id in
-      let done_steps = sem.(rank).(tb.Ir.tb_id) in
-      if done_steps >= Array.length tb.Ir.steps then false
-      else begin
-        let step = tb.Ir.steps.(done_steps) in
-        let deps_ok =
-          List.for_all
-            (fun (dtb, dstep) -> sem.(rank).(dtb) > dstep)
-            step.Ir.depends
-        in
-        let recv_key = (tb.Ir.recv, rank, tb.Ir.chan) in
-        let send_key = (rank, tb.Ir.send, tb.Ir.chan) in
-        let recv_ok =
-          (not (Instr.receives step.Ir.op))
-          || not (Queue.is_empty (queue recv_key))
-        in
-        let send_ok =
-          (not (Instr.sends step.Ir.op))
-          || Queue.length (queue send_key) < slots
-        in
-        if deps_ok && recv_ok && send_ok then begin
-          let push vals =
-            Queue.add
-              (Array.map V.copy vals, (rank, tb.Ir.tb_id, done_steps))
-              (queue send_key)
-          in
-          let pop () =
-            let vals, sender = Queue.pop (queue recv_key) in
-            (match on_deliver with
-            | Some f ->
-                f st ~src:sender
-                  ~dst:(rank, tb.Ir.tb_id, done_steps)
-                  ~op:step.Ir.op ~payload:vals
-            | None -> ());
-            vals
-          in
-          let ctx =
-            Printf.sprintf "rank %d tb %d step %d (%s)" rank tb.Ir.tb_id
-              done_steps
-              (Instr.opcode_name step.Ir.op)
-          in
-          let rd l = read st ~inplace ~ctx l in
-          let wr l vals =
-            write st ~inplace ~ctx l vals;
-            match on_write with
-            | Some f -> f ~writer:(rank, tb.Ir.tb_id, done_steps) ~loc:l
-            | None -> ()
-          in
-          let src () = Option.get step.Ir.src in
-          let dst () = Option.get step.Ir.dst in
-          (match step.Ir.op with
-          | Instr.Nop -> ()
-          | Instr.Send -> push (rd (src ()))
-          | Instr.Recv -> wr (dst ()) (pop ())
-          | Instr.Copy -> wr (dst ()) (rd (src ()))
-          | Instr.Reduce ->
-              wr (dst ()) (Array.map2 V.reduce (rd (dst ())) (rd (src ())))
-          | Instr.Recv_reduce_copy ->
-              wr (dst ()) (Array.map2 V.reduce (rd (src ())) (pop ()))
-          | Instr.Recv_copy_send ->
-              let msg = pop () in
-              wr (dst ()) msg;
-              push msg
-          | Instr.Recv_reduce_send ->
-              push (Array.map2 V.reduce (rd (src ())) (pop ()))
-          | Instr.Recv_reduce_copy_send ->
-              let res = Array.map2 V.reduce (rd (src ())) (pop ()) in
-              wr (dst ()) res;
-              push res);
-          sem.(rank).(tb.Ir.tb_id) <- done_steps + 1;
-          st.executed <- st.executed + 1;
-          true
-        end
-        else false
-      end
+      let sem_g = sem.(g.Ir.gpu_id) in
+      let d = sem_g.(tb.Ir.tb_id) in
+      d < Array.length tb.Ir.steps
+      &&
+      let step = tb.Ir.steps.(d) in
+      let op = step.Ir.op in
+      let deps_ok = deps_met sem_g step.Ir.depends in
+      let recv_ok =
+        (not (Instr.receives op)) || not (Queue.is_empty (recv_fifo g tb))
+      in
+      let send_ok =
+        (not (Instr.sends op)) || Queue.length (send_fifo g tb) < slots
+      in
+      deps_ok && recv_ok && send_ok
+      && begin
+           let src = step.Ir.src and dst = step.Ir.dst in
+           (match op with
+           | Instr.Nop -> ()
+           | Instr.Send -> push g tb d (rd g tb d (Option.get src))
+           | Instr.Recv -> wr g tb d (Option.get dst) (pop g tb d op)
+           | Instr.Copy ->
+               wr g tb d (Option.get dst) (rd g tb d (Option.get src))
+           | Instr.Reduce ->
+               wr g tb d (Option.get dst)
+                 (Array.map2 V.reduce
+                    (rd g tb d (Option.get dst))
+                    (rd g tb d (Option.get src)))
+           | Instr.Recv_reduce_copy ->
+               wr g tb d (Option.get dst)
+                 (Array.map2 V.reduce
+                    (rd g tb d (Option.get src))
+                    (pop g tb d op))
+           | Instr.Recv_copy_send ->
+               let msg = pop g tb d op in
+               wr g tb d (Option.get dst) msg;
+               push g tb d msg
+           | Instr.Recv_reduce_send ->
+               push g tb d
+                 (Array.map2 V.reduce
+                    (rd g tb d (Option.get src))
+                    (pop g tb d op))
+           | Instr.Recv_reduce_copy_send ->
+               let res =
+                 Array.map2 V.reduce
+                   (rd g tb d (Option.get src))
+                   (pop g tb d op)
+               in
+               wr g tb d (Option.get dst) res;
+               push g tb d res);
+           sem_g.(tb.Ir.tb_id) <- d + 1;
+           st.executed <- st.executed + 1;
+           true
+         end
     in
     let rec loop () =
       if st.executed < total_steps then begin
@@ -268,11 +313,11 @@ module Make (V : VALUE) = struct
     Hashtbl.iter
       (fun (s, d, c) q ->
         if not (Queue.is_empty q) then
-          let _, (sg, stb, sstep) = Queue.peek q in
+          let m = Queue.peek q in
           error
             "%d message(s) left in flight on connection %d->%d ch%d (first \
              sent by rank %d tb %d step %d)"
-            (Queue.length q) s d c sg stb sstep)
+            (Queue.length q) s d c m.from_gpu m.from_tb m.from_step)
       queues;
     st
 end
@@ -287,16 +332,17 @@ end
 module Symbolic = struct
   include Make (Chunk_value)
 
-  let run_collective ?slots ?on_deliver ?on_write (ir : Ir.t) =
+  let precondition (ir : Ir.t) =
     let coll = ir.Ir.collective in
     let in_size = Collective.input_buffer_size coll in
-    let init ~rank ~index =
+    fun ~rank ~index ->
       if index >= in_size then None
       else
         let c = Collective.precondition coll ~rank ~index in
         if Chunk.is_uninit c then None else Some c
-    in
-    run ?slots ?on_deliver ?on_write ~init ir
+
+  let run_collective ?slots ?on_deliver ?on_write (ir : Ir.t) =
+    run ?slots ?on_deliver ?on_write ~init:(precondition ir) ir
 end
 
 module Float_value = struct

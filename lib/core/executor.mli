@@ -46,7 +46,8 @@ module type S = sig
       op:Instr.opcode ->
       payload:v array ->
       unit) ->
-    ?on_write:(writer:int * int * int -> loc:Loc.t -> unit) ->
+    ?on_write:
+      (state -> writer:int * int * int -> loc:Loc.t -> vals:v array -> unit) ->
     init:(rank:int -> index:int -> v option) ->
     Ir.t ->
     state
@@ -58,13 +59,16 @@ module type S = sig
       [(gpu, tb, step)] coordinates, the receiving opcode and the payload;
       the [state] argument reflects the buffers {e before} the receive
       takes effect, which is what redundancy analyses need. [on_write] is
-      called once per local buffer write, after it took effect, with the
-      writing step's [(gpu, tb, step)] and the destination [Loc.t] exactly
-      as the instruction names it (an in-place collective's [Output] loc
-      aliases the input array) — {!Verify.check_postcondition} uses it to
-      attribute a wrong output slot to its last writer. Raises
-      {!Exec_error} on deadlock, on reading uninitialized data, or on
-      leftover in-flight messages. *)
+      called once per local buffer write, after its bounds check and just
+      before the values land, with the writing step's [(gpu, tb, step)],
+      the destination [Loc.t] exactly as the instruction names it (an
+      in-place collective's [Output] loc aliases the input array) and the
+      [vals] being written, one per chunk of the loc; [state] still holds
+      the values they overwrite. {!Verify.check_postcondition} uses it to
+      attribute a wrong output slot to its last writer, and
+      {!Perfcheck.lint} to keep each rank's held values without scanning
+      its buffers. Raises {!Exec_error} on deadlock, on reading
+      uninitialized data, or on leftover in-flight messages. *)
 
   val input : state -> rank:int -> v option array
   val output : state -> rank:int -> v option array
@@ -87,10 +91,21 @@ module Symbolic : sig
       op:Instr.opcode ->
       payload:Chunk.t array ->
       unit) ->
-    ?on_write:(writer:int * int * int -> loc:Loc.t -> unit) ->
+    ?on_write:
+      (state ->
+      writer:int * int * int ->
+      loc:Loc.t ->
+      vals:Chunk.t array ->
+      unit) ->
     Ir.t ->
     state
-  (** Runs with the IR collective's precondition as input. *)
+  (** Runs with the IR collective's precondition as input: [run ~init:
+      (precondition ir) ir]. *)
+
+  val precondition : Ir.t -> rank:int -> index:int -> Chunk.t option
+  (** The initial input buffers {!run_collective} starts from: the
+      collective's precondition, [None] where it is uninitialized or past
+      the collective's input buffer. *)
 end
 
 module Data : sig

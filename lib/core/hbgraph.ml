@@ -80,24 +80,38 @@ let build ?fifo_slots (ir : Ir.t) =
           | g, t, s when g = gpu && t = tb && s = step -> Some i
           | _ -> None)
   in
-  (* Per-connection ordered send and receive node lists. *)
+  (* Per-connection ordered send and receive node lists (most recent
+     first). A thread block's connection is looked up once, at its first
+     send or receive, which is when the table gains the key anyway. *)
   let sends = Hashtbl.create 32 and recvs = Hashtbl.create 32 in
-  let push tbl key v =
-    Hashtbl.replace tbl key
-      (v :: Option.value ~default:[] (Hashtbl.find_opt tbl key))
+  let conn tbl key =
+    lazy
+      (match Hashtbl.find_opt tbl key with
+      | Some l -> l
+      | None ->
+          let l = ref [] in
+          Hashtbl.add tbl key l;
+          l)
   in
   Array.iter
     (fun (g : Ir.gpu) ->
       Array.iter
         (fun (tb : Ir.tb) ->
+          let first = Hashtbl.find base (g.Ir.gpu_id, tb.Ir.tb_id) in
+          let sent = conn sends (g.Ir.gpu_id, tb.Ir.send, tb.Ir.chan) in
+          let received = conn recvs (tb.Ir.recv, g.Ir.gpu_id, tb.Ir.chan) in
           Array.iteri
             (fun si (st : Ir.step) ->
-              let me = Hashtbl.find base (g.Ir.gpu_id, tb.Ir.tb_id) + si in
+              let me = first + si in
               coords.(me) <- (g.Ir.gpu_id, tb.Ir.tb_id, si);
-              if Instr.sends st.Ir.op then
-                push sends (g.Ir.gpu_id, tb.Ir.send, tb.Ir.chan) me;
-              if Instr.receives st.Ir.op then
-                push recvs (tb.Ir.recv, g.Ir.gpu_id, tb.Ir.chan) me)
+              if Instr.sends st.Ir.op then begin
+                let l = Lazy.force sent in
+                l := me :: !l
+              end;
+              if Instr.receives st.Ir.op then begin
+                let l = Lazy.force received in
+                l := me :: !l
+              end)
             tb.Ir.steps)
         g.Ir.tbs)
     ir.Ir.gpus;
@@ -107,9 +121,10 @@ let build ?fifo_slots (ir : Ir.t) =
     (fun (g : Ir.gpu) ->
       Array.iter
         (fun (tb : Ir.tb) ->
+          let first = Hashtbl.find base (g.Ir.gpu_id, tb.Ir.tb_id) in
           Array.iteri
             (fun si (st : Ir.step) ->
-              let me = Hashtbl.find base (g.Ir.gpu_id, tb.Ir.tb_id) + si in
+              let me = first + si in
               if si > 0 then edge (me - 1) me;
               List.iter
                 (fun (dtb, dstep) ->
@@ -124,10 +139,11 @@ let build ?fifo_slots (ir : Ir.t) =
   let mismatches = ref [] in
   Hashtbl.iter
     (fun key send_nodes ->
-      let ss = Array.of_list (List.rev send_nodes) in
+      let ss = Array.of_list (List.rev !send_nodes) in
       let rs =
         Array.of_list
-          (List.rev (Option.value ~default:[] (Hashtbl.find_opt recvs key)))
+          (List.rev
+             (match Hashtbl.find_opt recvs key with Some l -> !l | None -> []))
       in
       let ns = Array.length ss and nr = Array.length rs in
       if ns <> nr then begin
@@ -147,7 +163,8 @@ let build ?fifo_slots (ir : Ir.t) =
     (fun key recv_nodes ->
       if not (Hashtbl.mem sends key) then begin
         let src, dst, ch = key in
-        mismatches := (src, dst, ch, 0, List.length recv_nodes) :: !mismatches
+        mismatches :=
+          (src, dst, ch, 0, List.length !recv_nodes) :: !mismatches
       end)
     recvs;
   {
@@ -187,98 +204,82 @@ let stats t =
     st_dfs = t.q_dfs;
   }
 
-let compute_topo t =
+(* Kahn's algorithm with FIFO order, the order array doubling as the
+   queue: the nodes it reaches, in that order, and how many. On a cyclic
+   graph that is the acyclic prefix. *)
+let kahn t =
   let indeg = Array.make t.n 0 in
   Array.iter (List.iter (fun b -> indeg.(b) <- indeg.(b) + 1)) t.adj;
-  let q = Queue.create () in
-  Array.iteri (fun i d -> if d = 0 then Queue.add i q) indeg;
   let order = Array.make t.n 0 in
-  let seen = ref 0 in
-  while not (Queue.is_empty q) do
-    let i = Queue.pop q in
-    order.(!seen) <- i;
-    incr seen;
+  let tail = ref 0 in
+  Array.iteri
+    (fun i d ->
+      if d = 0 then begin
+        order.(!tail) <- i;
+        incr tail
+      end)
+    indeg;
+  let head = ref 0 in
+  while !head < !tail do
+    let i = order.(!head) in
+    incr head;
     List.iter
       (fun b ->
         indeg.(b) <- indeg.(b) - 1;
-        if indeg.(b) = 0 then Queue.add b q)
+        if indeg.(b) = 0 then begin
+          order.(!tail) <- b;
+          incr tail
+        end)
       t.adj.(i)
   done;
-  if !seen = t.n then Some order else None
+  (order, !tail)
 
 let topo_order t =
   match t.topo with
   | Some cached -> cached
   | None ->
-      let r = compute_topo t in
+      let order, seen = kahn t in
+      let r = if seen = t.n then Some order else None in
       t.topo <- Some r;
       r
 
 let cycle_size t =
-  match topo_order t with
-  | Some _ -> 0
-  | None ->
-      (* Re-run Kahn to count the unreached tail. *)
-      let indeg = Array.make t.n 0 in
-      Array.iter (List.iter (fun b -> indeg.(b) <- indeg.(b) + 1)) t.adj;
-      let q = Queue.create () in
-      Array.iteri (fun i d -> if d = 0 then Queue.add i q) indeg;
-      let seen = ref 0 in
-      while not (Queue.is_empty q) do
-        let i = Queue.pop q in
-        incr seen;
-        List.iter
-          (fun b ->
-            indeg.(b) <- indeg.(b) - 1;
-            if indeg.(b) = 0 then Queue.add b q)
-          t.adj.(i)
-      done;
-      t.n - !seen
+  match topo_order t with Some _ -> 0 | None -> t.n - snd (kahn t)
+
+(* The nodes Kahn's algorithm reaches, in an order where every node comes
+   after its predecessors: the memoized topological order when there is
+   one. Longest paths relax along it; any such order gives the same
+   maxima, since each candidate is one addition to a final distance. *)
+let kahn_order t =
+  match topo_order t with Some order -> (order, t.n) | None -> kahn t
 
 let longest_path t =
-  if t.n = 0 then 0
-  else begin
-    let indeg = Array.make t.n 0 in
-    Array.iter (List.iter (fun b -> indeg.(b) <- indeg.(b) + 1)) t.adj;
-    let q = Queue.create () in
-    Array.iteri (fun i d -> if d = 0 then Queue.add i q) indeg;
-    let dist = Array.make t.n 1 in
-    let best = ref 0 in
-    while not (Queue.is_empty q) do
-      let i = Queue.pop q in
-      if dist.(i) > !best then best := dist.(i);
-      List.iter
-        (fun b ->
-          if dist.(i) + 1 > dist.(b) then dist.(b) <- dist.(i) + 1;
-          indeg.(b) <- indeg.(b) - 1;
-          if indeg.(b) = 0 then Queue.add b q)
-        t.adj.(i)
-    done;
-    !best
-  end
+  let order, seen = kahn_order t in
+  let dist = Array.make t.n 1 in
+  let best = ref 0 in
+  for k = 0 to seen - 1 do
+    let i = order.(k) in
+    let di = dist.(i) in
+    if di > !best then best := di;
+    List.iter (fun b -> if di + 1 > dist.(b) then dist.(b) <- di + 1) t.adj.(i)
+  done;
+  !best
 
 let weighted_longest_path t ~weight =
-  if t.n = 0 then 0.
-  else begin
-    let indeg = Array.make t.n 0 in
-    Array.iter (List.iter (fun b -> indeg.(b) <- indeg.(b) + 1)) t.adj;
-    let q = Queue.create () in
-    Array.iteri (fun i d -> if d = 0 then Queue.add i q) indeg;
-    let dist = Array.init t.n (fun i -> weight i) in
-    let best = ref 0. in
-    while not (Queue.is_empty q) do
-      let i = Queue.pop q in
-      if dist.(i) > !best then best := dist.(i);
-      List.iter
-        (fun b ->
-          let d = dist.(i) +. weight b in
-          if d > dist.(b) then dist.(b) <- d;
-          indeg.(b) <- indeg.(b) - 1;
-          if indeg.(b) = 0 then Queue.add b q)
-        t.adj.(i)
-    done;
-    !best
-  end
+  let order, seen = kahn_order t in
+  let dist = Array.copy weight in
+  let best = ref 0. in
+  for k = 0 to seen - 1 do
+    let i = order.(k) in
+    let di = dist.(i) in
+    if di > !best then best := di;
+    List.iter
+      (fun b ->
+        let d = di +. weight.(b) in
+        if d > dist.(b) then dist.(b) <- d)
+      t.adj.(i)
+  done;
+  !best
 
 (* Transitive closure as one bitset row per node, filled in reverse
    topological order: row a = union over successors s of ({s} ∪ row s). *)

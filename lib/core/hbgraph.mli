@@ -72,9 +72,10 @@ val longest_path : t -> int
     0 for an empty graph). On a cyclic graph, counts only the acyclic
     prefix reachable by Kahn's algorithm. *)
 
-val weighted_longest_path : t -> weight:(int -> float) -> float
+val weighted_longest_path : t -> weight:float array -> float
 (** Maximum over happens-before paths of the sum of per-node weights
-    ([weight] maps a node id to a nonnegative cost). With every weight
+    ([weight.(i)] is node [i]'s nonnegative cost; one entry per node).
+    With every weight
     [1.0] this equals [float_of_int (longest_path t)]; the perfcheck pass
     uses per-step α–β–γ costs instead to turn the critical path into a
     time estimate. Same cyclic-graph caveat as {!longest_path}. *)

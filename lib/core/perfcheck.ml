@@ -34,6 +34,7 @@ type t = {
   time_efficiency : float;
   link_loads : link_load list;
   tb_loads : tb_load list;
+  analysis : Analysis.t;
 }
 
 let ceil_log2 n =
@@ -51,21 +52,19 @@ let ceil_log2 n =
    Receiver-side FIFO copies are deliberately excluded: they are a
    protocol implementation detail that the lower bound cannot see either,
    so including them would make every algorithm look inefficient instead
-   of distinguishing good schedules from bad ones. *)
-let step_cost ~beta_only topo proto chunk_bytes (g : Ir.gpu) (tb : Ir.tb)
-    (st : Ir.step) =
+   of distinguishing good schedules from bad ones. [route] is the
+   bottleneck bandwidth and α of the thread block's send route, [None]
+   when it sends to no other GPU. *)
+let step_cost ~beta_only topo proto chunk_bytes ~route (st : Ir.step) =
   let bytes = float_of_int st.Ir.count *. chunk_bytes in
   let cost = ref (if beta_only then 0. else Topology.instr_overhead topo) in
-  if Instr.sends st.Ir.op && tb.Ir.send >= 0 && tb.Ir.send <> g.Ir.gpu_id
-  then begin
-    let bw = Topology.route_bandwidth topo ~src:g.Ir.gpu_id ~dst:tb.Ir.send in
-    cost := !cost +. (bytes /. (Protocol.efficiency proto *. bw));
-    if not beta_only then
-      cost :=
-        !cost
-        +. Topology.route_alpha topo ~src:g.Ir.gpu_id ~dst:tb.Ir.send
-           *. Protocol.alpha_scale proto
-  end;
+  (match route with
+  | Some r when Instr.sends st.Ir.op ->
+      let bw, alpha = Lazy.force r in
+      cost := !cost +. (bytes /. (Protocol.efficiency proto *. bw));
+      if not beta_only then
+        cost := !cost +. (alpha *. Protocol.alpha_scale proto)
+  | Some _ | None -> ());
   (match st.Ir.op with
   | Instr.Copy -> cost := !cost +. (bytes /. Topology.local_bandwidth topo)
   | Instr.Reduce ->
@@ -83,11 +82,11 @@ let step_cost ~beta_only topo proto chunk_bytes (g : Ir.gpu) (tb : Ir.tb)
 (* Communication demand: how many bytes must cross each cut            *)
 (* ------------------------------------------------------------------ *)
 
-type demand = {
-  d_rank_out : float array;
-  d_rank_in : float array;
-  d_node_out : float array;
-  d_node_in : float array;
+type cuts = {
+  rank_out : float array;
+  rank_in : float array;
+  node_out : float array;
+  node_in : float array;
 }
 
 (* Generic demand from the postcondition alone, for collectives without
@@ -102,10 +101,10 @@ let generic_demand topo (coll : Collective.t) ~chunk_bytes =
   let p = coll.Collective.num_ranks in
   let nn = Topology.num_nodes topo in
   let node_of = Topology.node_of topo in
-  let rank_out = Array.init p (fun _ -> Hashtbl.create 16) in
-  let rank_in = Array.init p (fun _ -> Hashtbl.create 16) in
-  let node_out = Array.init nn (fun _ -> Hashtbl.create 16) in
-  let node_in = Array.init nn (fun _ -> Hashtbl.create 16) in
+  let proj_out = Array.init p (fun _ -> Hashtbl.create 16) in
+  let proj_in = Array.init p (fun _ -> Hashtbl.create 16) in
+  let node_proj_out = Array.init nn (fun _ -> Hashtbl.create 16) in
+  let node_proj_in = Array.init nn (fun _ -> Hashtbl.create 16) in
   let outputs = Collective.output_chunks coll in
   for q = 0 to p - 1 do
     for j = 0 to outputs - 1 do
@@ -118,11 +117,11 @@ let generic_demand topo (coll : Collective.t) ~chunk_bytes =
               for r = 0 to p - 1 do
                 if r <> q then begin
                   let proj = List.filter (fun (sr, _) -> sr = r) inputs in
-                  if proj <> [] then Hashtbl.replace rank_out.(r) proj ()
+                  if proj <> [] then Hashtbl.replace proj_out.(r) proj ()
                 end
               done;
               let remote = List.filter (fun (sr, _) -> sr <> q) inputs in
-              if remote <> [] then Hashtbl.replace rank_in.(q) remote ();
+              if remote <> [] then Hashtbl.replace proj_in.(q) remote ();
               if nn > 1 then begin
                 let qn = node_of q in
                 for n = 0 to nn - 1 do
@@ -130,29 +129,29 @@ let generic_demand topo (coll : Collective.t) ~chunk_bytes =
                     let proj =
                       List.filter (fun (sr, _) -> node_of sr = n) inputs
                     in
-                    if proj <> [] then Hashtbl.replace node_out.(n) proj ()
+                    if proj <> [] then Hashtbl.replace node_proj_out.(n) proj ()
                   end
                 done;
                 let rem_n =
                   List.filter (fun (sr, _) -> node_of sr <> qn) inputs
                 in
-                if rem_n <> [] then Hashtbl.replace node_in.(qn) rem_n ()
+                if rem_n <> [] then Hashtbl.replace node_proj_in.(qn) rem_n ()
               end)
     done
   done;
   let count tbl = float_of_int (Hashtbl.length tbl) *. chunk_bytes in
   {
-    d_rank_out = Array.map count rank_out;
-    d_rank_in = Array.map count rank_in;
-    d_node_out = Array.map count node_out;
-    d_node_in = Array.map count node_in;
+    rank_out = Array.map count proj_out;
+    rank_in = Array.map count proj_in;
+    node_out = Array.map count node_proj_out;
+    node_in = Array.map count node_proj_in;
   }
 
 (* Closed forms for the reducing collectives, where distinct-projection
    counting is sound but loose (it does not see that a rank must both
    contribute partials and receive results). [cc] is one rank's data in
    bytes (chunk_factor × chunk_bytes). *)
-let demand_of topo (coll : Collective.t) ~chunk_bytes =
+let demand topo (coll : Collective.t) ~chunk_bytes =
   let p = Topology.num_ranks topo in
   let nn = Topology.num_nodes topo in
   let g = Topology.gpus_per_node topo in
@@ -161,10 +160,10 @@ let demand_of topo (coll : Collective.t) ~chunk_bytes =
   let fp = float_of_int p and fnn = float_of_int nn in
   let const_demand ro ri no ni =
     {
-      d_rank_out = Array.make p ro;
-      d_rank_in = Array.make p ri;
-      d_node_out = Array.make nn no;
-      d_node_in = Array.make nn ni;
+      rank_out = Array.make p ro;
+      rank_in = Array.make p ri;
+      node_out = Array.make nn no;
+      node_in = Array.make nn ni;
     }
   in
   match coll.Collective.kind with
@@ -180,14 +179,14 @@ let demand_of topo (coll : Collective.t) ~chunk_bytes =
   | Collective.Reduce root ->
       let d = const_demand 0. 0. 0. 0. in
       for r = 0 to p - 1 do
-        if r <> root then d.d_rank_out.(r) <- cc
+        if r <> root then d.rank_out.(r) <- cc
       done;
-      d.d_rank_in.(root) <- cc;
+      d.rank_in.(root) <- cc;
       if nn > 1 then begin
         for n = 0 to nn - 1 do
-          if n <> node_of root then d.d_node_out.(n) <- cc
+          if n <> node_of root then d.node_out.(n) <- cc
         done;
-        d.d_node_in.(node_of root) <- cc
+        d.node_in.(node_of root) <- cc
       end;
       d
   | Collective.Allgather | Collective.Alltoall | Collective.Alltonext
@@ -203,53 +202,77 @@ let demand_of topo (coll : Collective.t) ~chunk_bytes =
    out of the set (dually, arriving bytes cross a LAST hop), so the sum
    of the distinct first-hop capacities upper-bounds the cut's egress
    rate. Sharing with traffic outside the cut only makes this optimistic,
-   which keeps the resulting time bound a true lower bound. *)
-let cut_capacity topo ~first pred =
-  let seen = Hashtbl.create 8 in
-  let unbounded = ref false in
+   which keeps the resulting time bound a true lower bound.
+
+   All 2p + 2n cuts fill their hop sets in one pass over the p² routes.
+   Each set sees its hops in route order, so its table (and with it the
+   order of the capacity sum) is the same as a fold over the routes of
+   that cut alone would build. A hopless route out of (into) a cut makes
+   it unbounded. *)
+type cut_hops = {
+  mutable unbounded : bool;
+  hops : (int, unit) Hashtbl.t;
+}
+
+let cut_capacities topo =
+  let sets n =
+    Array.init n (fun _ -> { unbounded = false; hops = Hashtbl.create 8 })
+  in
+  let node_of = Topology.node_of topo in
+  let p = Topology.num_ranks topo and nn = Topology.num_nodes topo in
+  let rank_out = sets p and rank_in = sets p in
+  let node_out = sets nn and node_in = sets nn in
+  let rec last = function [ h ] -> h | _ :: t -> last t | [] -> assert false in
   Topology.fold_routes topo
     (fun () ~src ~dst rt ->
-      if pred ~src ~dst then
+      let add cut h =
         match rt.Topology.hops with
-        | [] -> unbounded := true
-        | h :: _ when first -> Hashtbl.replace seen h ()
-        | hops -> Hashtbl.replace seen (List.nth hops (List.length hops - 1)) ())
+        | [] -> cut.unbounded <- true
+        | hops -> Hashtbl.replace cut.hops (h hops) ()
+      in
+      add rank_out.(src) List.hd;
+      add rank_in.(dst) last;
+      let ns = node_of src and nd = node_of dst in
+      if ns <> nd then begin
+        add node_out.(ns) List.hd;
+        add node_in.(nd) last
+      end)
     ();
-  if !unbounded then infinity
-  else
-    Hashtbl.fold
-      (fun h () acc -> acc +. Topology.resource_capacity topo h)
-      seen 0.
+  let capacity cut =
+    if cut.unbounded then infinity
+    else
+      Hashtbl.fold
+        (fun h () acc -> acc +. Topology.resource_capacity topo h)
+        cut.hops 0.
+  in
+  {
+    rank_out = Array.map capacity rank_out;
+    rank_in = Array.map capacity rank_in;
+    node_out = Array.map capacity node_out;
+    node_in = Array.map capacity node_in;
+  }
 
-let bandwidth_bound topo (d : demand) =
+let bandwidth_bound ~demand ~capacity =
   let worst = ref 0. in
-  let consider demand cap =
-    if demand > 0. then begin
-      let t = demand /. cap in
+  let consider d cap =
+    if d > 0. then begin
+      let t = d /. cap in
       if t > !worst then worst := t
     end
   in
-  let p = Topology.num_ranks topo in
-  for r = 0 to p - 1 do
-    consider d.d_rank_out.(r)
-      (cut_capacity topo ~first:true (fun ~src ~dst:_ -> src = r));
-    consider d.d_rank_in.(r)
-      (cut_capacity topo ~first:false (fun ~src:_ ~dst -> dst = r))
+  for r = 0 to Array.length capacity.rank_out - 1 do
+    consider demand.rank_out.(r) capacity.rank_out.(r);
+    consider demand.rank_in.(r) capacity.rank_in.(r)
   done;
-  let nn = Topology.num_nodes topo in
+  let nn = Array.length capacity.node_out in
   if nn > 1 then
     for n = 0 to nn - 1 do
-      let node_of = Topology.node_of topo in
-      consider d.d_node_out.(n)
-        (cut_capacity topo ~first:true (fun ~src ~dst ->
-             node_of src = n && node_of dst <> n));
-      consider d.d_node_in.(n)
-        (cut_capacity topo ~first:false (fun ~src ~dst ->
-             node_of src <> n && node_of dst = n))
+      consider demand.node_out.(n) capacity.node_out.(n);
+      consider demand.node_in.(n) capacity.node_in.(n)
     done;
   !worst
 
-let latency_bound topo (coll : Collective.t) proto (d : demand) =
+let latency_bound topo (coll : Collective.t) proto (d : cuts) =
   let p = Topology.num_ranks topo in
   let scale = Protocol.alpha_scale proto in
   let rounds =
@@ -275,8 +298,8 @@ let latency_bound topo (coll : Collective.t) proto (d : demand) =
     | Some a -> float_of_int rounds *. a *. scale
   in
   let crosses_nodes =
-    Array.exists (fun x -> x > 0.) d.d_node_out
-    || Array.exists (fun x -> x > 0.) d.d_node_in
+    Array.exists (fun x -> x > 0.) d.node_out
+    || Array.exists (fun x -> x > 0.) d.node_in
   in
   let by_diameter =
     if crosses_nodes then
@@ -333,21 +356,45 @@ let analyze ~topo ?(size_bytes = default_size_bytes) (ir : Ir.t) =
           Hashtbl.replace tb_cost (g.Ir.gpu_id, tb.Ir.tb_id) 0.)
         g.Ir.tbs)
     ir.Ir.gpus;
-  Ir.iter_steps ir (fun g tb st ->
-      let id = Hbgraph.node hb ~gpu:g.Ir.gpu_id ~tb:tb.Ir.tb_id ~step:st.Ir.s in
-      let full = step_cost ~beta_only:false topo proto chunk_bytes g tb st in
-      w_full.(id) <- full;
-      w_bw.(id) <- step_cost ~beta_only:true topo proto chunk_bytes g tb st;
-      let key = (g.Ir.gpu_id, tb.Ir.tb_id) in
-      Hashtbl.replace tb_cost key
-        (full +. Option.value ~default:0. (Hashtbl.find_opt tb_cost key)));
-  let span = Hbgraph.weighted_longest_path hb ~weight:(fun i -> w_full.(i)) in
-  let span_bw = Hbgraph.weighted_longest_path hb ~weight:(fun i -> w_bw.(i)) in
+  Array.iter
+    (fun (g : Ir.gpu) ->
+      Array.iter
+        (fun (tb : Ir.tb) ->
+          let key = (g.Ir.gpu_id, tb.Ir.tb_id) in
+          let first =
+            Hbgraph.node hb ~gpu:g.Ir.gpu_id ~tb:tb.Ir.tb_id ~step:0
+          in
+          let cost = ref (Hashtbl.find tb_cost key) in
+          let route =
+            let src = g.Ir.gpu_id and dst = tb.Ir.send in
+            if dst >= 0 && dst <> src then
+              Some
+                (lazy
+                  ( Topology.route_bandwidth topo ~src ~dst,
+                    Topology.route_alpha topo ~src ~dst ))
+            else None
+          in
+          Array.iter
+            (fun (st : Ir.step) ->
+              let id = first + st.Ir.s in
+              let full =
+                step_cost ~beta_only:false topo proto chunk_bytes ~route st
+              in
+              w_full.(id) <- full;
+              w_bw.(id) <-
+                step_cost ~beta_only:true topo proto chunk_bytes ~route st;
+              cost := full +. !cost)
+            tb.Ir.steps;
+          Hashtbl.replace tb_cost key !cost)
+        g.Ir.tbs)
+    ir.Ir.gpus;
+  let span = Hbgraph.weighted_longest_path hb ~weight:w_full in
+  let span_bw = Hbgraph.weighted_longest_path hb ~weight:w_bw in
   (* Per-resource congestion: every connection's traffic folded through
      its route's hops. Transfer time on a shared resource is at least the
      total wire bytes crossing it over its capacity, whatever the
      schedule. *)
-  let analysis = Analysis.analyze ir in
+  let analysis = Analysis.analyze ~hb ir in
   let resources = Topology.resources topo in
   let res_bytes = Array.make (Array.length resources) 0. in
   List.iter
@@ -393,14 +440,17 @@ let analyze ~topo ?(size_bytes = default_size_bytes) (ir : Ir.t) =
       tb_cost []
     |> List.sort (fun a b ->
            match Float.compare b.tl_cost a.tl_cost with
-           | 0 -> compare (a.tl_gpu, a.tl_tb) (b.tl_gpu, b.tl_tb)
+           | 0 -> (
+               match Int.compare a.tl_gpu b.tl_gpu with
+               | 0 -> Int.compare a.tl_tb b.tl_tb
+               | c -> c)
            | c -> c)
   in
-  let d = demand_of topo coll ~chunk_bytes in
+  let d = demand topo coll ~chunk_bytes in
   let bound =
     {
       lb_latency = latency_bound topo coll proto d;
-      lb_bandwidth = bandwidth_bound topo d;
+      lb_bandwidth = bandwidth_bound ~demand:d ~capacity:(cut_capacities topo);
       lb_compute = compute_bound topo coll ~chunk_bytes;
     }
   in
@@ -424,6 +474,7 @@ let analyze ~topo ?(size_bytes = default_size_bytes) (ir : Ir.t) =
     time_efficiency;
     link_loads;
     tb_loads;
+    analysis;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -495,24 +546,69 @@ let check_tb_imbalance ~imbalance_factor (r : t) =
    delivery (not send) time so the deterministic round-robin order cannot
    flag a send whose payload only becomes redundant later. Reducing
    receives are exempt: delivering an already-held value into a reduction
-   changes the result. *)
+   changes the result.
+
+   "Already present" is a lookup in a per-rank multiset of the values the
+   rank's input, output and scratch slots hold (an in-place output aliases
+   the input, so those slots count once). It is seeded from the
+   precondition as the executor fills the input buffers, and every write
+   moves one count from the overwritten value to the written one, so each
+   test is O(1) instead of a scan of the rank's buffers. *)
+module Held = Hashtbl.Make (struct
+  type t = Chunk.t
+
+  let equal = Chunk.equal
+  let hash = Chunk.hash
+end)
+
 let check_redundant_sends (ir : Ir.t) =
+  let module X = Executor.Symbolic in
+  let held =
+    Array.map
+      (fun (g : Ir.gpu) ->
+        Held.create
+          (g.Ir.input_chunks + g.Ir.output_chunks + g.Ir.scratch_chunks))
+      ir.Ir.gpus
+  in
+  let add rank c =
+    match Held.find_opt held.(rank) c with
+    | Some n -> incr n
+    | None -> Held.add held.(rank) c (ref 1)
+  in
+  let remove rank c =
+    let n = Held.find held.(rank) c in
+    decr n;
+    if !n = 0 then Held.remove held.(rank) c
+  in
+  let precondition = X.precondition ir in
+  let init ~rank ~index =
+    let v = precondition ~rank ~index in
+    Option.iter (add rank) v;
+    v
+  in
+  let on_write st ~writer:_ ~loc:(l : Loc.t) ~vals =
+    let rank = l.Loc.rank in
+    let slots =
+      match l.Loc.buf with
+      | Buffer_id.Input -> X.input st ~rank
+      | Buffer_id.Output -> X.output st ~rank
+      | Buffer_id.Scratch -> X.scratch st ~rank
+    in
+    Array.iteri
+      (fun k c ->
+        Option.iter (remove rank) slots.(l.Loc.index + k);
+        add rank c)
+      vals
+  in
   let out = ref [] in
-  let on_deliver st ~src ~dst ~op ~payload =
+  let on_deliver _ ~src ~dst ~op ~payload =
     match op with
     | Instr.Recv | Instr.Recv_copy_send ->
         let drank, _, _ = dst in
-        let held c =
-          let scan arr =
-            Array.exists
-              (function Some c' -> Chunk.equal c c' | None -> false)
-              arr
-          in
-          scan (Executor.Symbolic.input st ~rank:drank)
-          || scan (Executor.Symbolic.output st ~rank:drank)
-          || scan (Executor.Symbolic.scratch st ~rank:drank)
-        in
-        if Array.length payload > 0 && Array.for_all held payload then begin
+        if
+          Array.length payload > 0
+          && Array.for_all (Held.mem held.(drank)) payload
+        then begin
           let sg, stb, ss = src in
           out :=
             Lint.diag
@@ -528,7 +624,7 @@ let check_redundant_sends (ir : Ir.t) =
     | Instr.Recv_reduce_send | Instr.Recv_reduce_copy_send | Instr.Nop ->
         ()
   in
-  (try ignore (Executor.Symbolic.run_collective ~on_deliver ir) with
+  (try ignore (X.run ~on_deliver ~on_write ~init ir) with
   | Executor.Exec_error _ | Chunk.Uninitialized_data ->
       (* Broken IR is the correctness rules' business; report whatever
          deliveries we observed before the failure. *)
@@ -543,22 +639,29 @@ let check_missed_fusion (ir : Ir.t) =
   let out = ref [] in
   Array.iter
     (fun (g : Ir.gpu) ->
-      let scratch_reads = ref [] in
-      Array.iter
-        (fun (tb : Ir.tb) ->
-          Array.iter
-            (fun (st : Ir.step) ->
-              List.iter
-                (fun (w, (l : Loc.t)) ->
-                  if
-                    (not w) && Buffer_id.equal l.Loc.buf Buffer_id.Scratch
-                  then
-                    scratch_reads :=
-                      (tb.Ir.tb_id, st.Ir.s, l.Loc.index, l.Loc.count)
-                      :: !scratch_reads)
-                (Races.footprint ir st))
-            tb.Ir.steps)
-        g.Ir.tbs;
+      (* Every scratch read on the GPU, gathered only once a candidate
+         bounce needs them. *)
+      let scratch_reads =
+        lazy
+          (let reads = ref [] in
+           Array.iter
+             (fun (tb : Ir.tb) ->
+               Array.iter
+                 (fun (st : Ir.step) ->
+                   List.iter
+                     (fun (w, (l : Loc.t)) ->
+                       if
+                         (not w)
+                         && Buffer_id.equal l.Loc.buf Buffer_id.Scratch
+                       then
+                         reads :=
+                           (tb.Ir.tb_id, st.Ir.s, l.Loc.index, l.Loc.count)
+                           :: !reads)
+                     (Races.footprint ir st))
+                 tb.Ir.steps)
+             g.Ir.tbs;
+           !reads)
+      in
       Array.iter
         (fun (tb : Ir.tb) ->
           Array.iteri
@@ -580,7 +683,7 @@ let check_missed_fusion (ir : Ir.t) =
                           (not (rtb = tb.Ir.tb_id && rs = next.Ir.s))
                           && idx < d.Loc.index + d.Loc.count
                           && d.Loc.index < idx + cnt)
-                        !scratch_reads
+                        (Lazy.force scratch_reads)
                     in
                     if not other_reader then begin
                       let fused =

@@ -77,7 +77,35 @@ type t = {
   time_efficiency : float;  (** [lb_total bound / estimate]. *)
   link_loads : link_load list;  (** Loaded resources, busiest first. *)
   tb_loads : tb_load list;  (** Every thread block, costliest first. *)
+  analysis : Analysis.t;
+      (** The structural analysis the connection loads come from, computed
+          on the same happens-before graph as the weighted critical paths,
+          so a report needs one graph. *)
 }
+
+type cuts = {
+  rank_out : float array;  (** Per rank: everything leaving it. *)
+  rank_in : float array;  (** Per rank: everything entering it. *)
+  node_out : float array;  (** Per node: everything leaving it. *)
+  node_in : float array;  (** Per node: everything entering it. *)
+}
+(** One number per cut of the bandwidth bound: bytes for a demand,
+    bytes/second for a capacity. *)
+
+val demand :
+  Msccl_topology.Topology.t -> Collective.t -> chunk_bytes:float -> cuts
+(** Bytes that must cross each cut: closed forms for the reducing
+    collectives, distinct postcondition projections for the rest. *)
+
+val cut_capacities : Msccl_topology.Topology.t -> cuts
+(** Each cut's capacity: the sum of its distinct first-hop (egress) or
+    last-hop (ingress) resource capacities, [infinity] when a route across
+    it has no hops. One pass over the routes; each sum adds its resources
+    in the order a fold over that cut's routes alone would. *)
+
+val bandwidth_bound : demand:cuts -> capacity:cuts -> float
+(** The worst [demand / capacity] over cuts with a positive demand (node
+    cuts only on multi-node topologies): the bound's [lb_bandwidth]. *)
 
 val default_size_bytes : int
 (** 1 MiB: large enough that β terms dominate α at Simple protocol. *)

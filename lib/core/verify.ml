@@ -29,7 +29,7 @@ let check_postcondition (ir : Ir.t) =
   let writers =
     Array.init (Ir.num_ranks ir) (fun _ -> Array.make out_size None)
   in
-  let on_write ~writer ~loc:(l : Loc.t) =
+  let on_write _ ~writer ~loc:(l : Loc.t) ~vals:_ =
     let lands_in_output =
       match l.Loc.buf with
       | Buffer_id.Output -> true

@@ -74,7 +74,7 @@ let test_single_slot () =
   (* Two slots suffice for the fused ring. *)
   ignore (Executor.Symbolic.run_collective ~slots:2 ir)
 
-let test_uninit_read_detected () =
+let uninit_ir () =
   let coll = Collective.make Collective.Allgather ~num_ranks:2 () in
   let gpus =
     [|
@@ -109,14 +109,118 @@ let test_uninit_read_detected () =
       };
     |]
   in
-  let ir =
-    { Ir.name = "uninit"; collective = coll; proto = T.Protocol.Simple; gpus }
-  in
-  match Executor.Symbolic.run_collective ir with
+  { Ir.name = "uninit"; collective = coll; proto = T.Protocol.Simple; gpus }
+
+let test_uninit_read_detected () =
+  match Executor.Symbolic.run_collective (uninit_ir ()) with
   | exception Executor.Exec_error msg ->
       Alcotest.(check bool) "mentions uninitialized" true
         (contains msg "uninitialized")
   | _ -> Alcotest.fail "uninitialized read not detected"
+
+(* ------------------------------------------------------------------ *)
+(* Exec_error texts, pinned in full                                    *)
+(* ------------------------------------------------------------------ *)
+
+let exec_error ir =
+  match Executor.Symbolic.run_collective ir with
+  | exception Executor.Exec_error msg -> msg
+  | _ -> Alcotest.fail "expected Exec_error"
+
+let pin name expected ir =
+  Testutil.tc name (fun () ->
+      Alcotest.(check string) "message" expected (exec_error (ir ())))
+
+(* Rank 0 runs one thread block of [steps]; rank 1 (when present) runs
+   none. *)
+let one_tb_ir ?(send = -1) ?(ranks = 2) name steps =
+  let coll = Collective.make Collective.Allgather ~num_ranks:ranks () in
+  let gpu id tbs =
+    { Ir.gpu_id = id; input_chunks = 1; output_chunks = ranks;
+      scratch_chunks = 0; tbs }
+  in
+  {
+    Ir.name;
+    collective = coll;
+    proto = T.Protocol.Simple;
+    gpus =
+      Array.init ranks (fun id ->
+          gpu id
+            (if id = 0 then
+               [| { Ir.tb_id = 0; send; recv = -1; chan = 0;
+                    steps = Array.of_list steps } |]
+             else [||]));
+  }
+
+let read_past_end_ir () =
+  one_tb_ir "read-past-end"
+    [
+      mk_step 0 Instr.Copy
+        ~src:(Loc.make ~rank:0 ~buf:Buffer_id.Input ~index:0 ~count:3)
+        ~dst:(loc 0 Buffer_id.Output 0)
+        ();
+    ]
+
+let write_past_end_ir () =
+  one_tb_ir "write-past-end"
+    [
+      mk_step 0 Instr.Copy
+        ~src:(loc 0 Buffer_id.Input 0)
+        ~dst:(Loc.make ~rank:0 ~buf:Buffer_id.Output ~index:1 ~count:2)
+        ();
+    ]
+
+(* Rank 0 sends on two connections (twice to rank 1 on channel 0, once
+   to rank 2 on channel 1) and nobody receives: the error names the
+   first connection the FIFO table visits. *)
+let leftover_ir () =
+  let coll = Collective.make Collective.Allgather ~num_ranks:3 () in
+  let send s = mk_step s Instr.Send ~src:(loc 0 Buffer_id.Input 0) () in
+  let gpu id tbs =
+    { Ir.gpu_id = id; input_chunks = 1; output_chunks = 3;
+      scratch_chunks = 0; tbs }
+  in
+  {
+    Ir.name = "leftover";
+    collective = coll;
+    proto = T.Protocol.Simple;
+    gpus =
+      [|
+        gpu 0
+          [|
+            { Ir.tb_id = 0; send = 1; recv = -1; chan = 0;
+              steps = [| send 0; send 1 |] };
+            { Ir.tb_id = 1; send = 2; recv = -1; chan = 1;
+              steps = [| send 0 |] };
+          |];
+        gpu 1 [||];
+        gpu 2 [||];
+      |];
+  }
+
+let exec_error_pins =
+  [
+    pin "deadlock"
+      "deadlock: no thread block can make progress\n\
+      \  gpu 0 tb 0 at step 0 (r): waiting for data from rank 1\n\
+      \  gpu 1 tb 0 at step 0 (r): waiting for data from rank 0"
+      deadlocked_ir;
+    pin "uninitialized read"
+      "rank 0 tb 0 step 0 (cpy): reading uninitialized chunk at rank 0 \
+       output[1]"
+      uninit_ir;
+    pin "read past end"
+      "rank 0 tb 0 step 0 (cpy): read past end of input buffer at \
+       0:i[0..2]"
+      read_past_end_ir;
+    pin "write past end"
+      "rank 0 tb 0 step 0 (cpy): write past end of output buffer at rank 0"
+      write_past_end_ir;
+    pin "messages left in flight"
+      "2 message(s) left in flight on connection 0->1 ch0 (first sent by \
+       rank 0 tb 0 step 0)"
+      leftover_ir;
+  ]
 
 let test_scratch_visible () =
   (* Data staged through scratch is observable via the scratch accessor. *)
@@ -174,4 +278,5 @@ let () =
           Testutil.tc "uninit read detected" test_uninit_read_detected;
           Testutil.tc "scratch visible" test_scratch_visible;
         ] );
+      ("exec errors", exec_error_pins);
     ]

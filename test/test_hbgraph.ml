@@ -167,7 +167,10 @@ let test_random_dags () =
     let naive = naive_longest_path succs in
     if lp <> naive then
       Alcotest.failf "case %d: longest_path %d, DP says %d" case lp naive;
-    let wlp = Hbgraph.weighted_longest_path h ~weight:(fun _ -> 1.0) in
+    let wlp =
+      Hbgraph.weighted_longest_path h
+        ~weight:(Array.make (Hbgraph.num_nodes h) 1.0)
+    in
     if abs_float (wlp -. float_of_int lp) > 1e-9 then
       Alcotest.failf "case %d: weighted longest path %f vs %d" case wlp lp;
     (* A topological order exists and respects every edge. *)

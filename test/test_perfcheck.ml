@@ -241,9 +241,7 @@ let test_redundant_send_flagged () =
         (List.length ds)
 
 (* The same shape sending two DIFFERENT chunks is not redundant. *)
-let test_distinct_sends_not_flagged () =
-  let topo = topo_of "custom:1:2" in
-  let ir =
+let distinct_sends_ir () =
     allreduce_ir ~name:"distinct" ~ranks:2
       [
         gpu 0
@@ -267,8 +265,10 @@ let test_distinct_sends_not_flagged () =
               ];
           ];
       ]
-  in
-  let _, diags = Perfcheck.lint ~topo ir in
+
+let test_distinct_sends_not_flagged () =
+  let topo = topo_of "custom:1:2" in
+  let _, diags = Perfcheck.lint ~topo (distinct_sends_ir ()) in
   Alcotest.(check int) "no redundant-send" 0
     (List.length (rule_diags "redundant-send" diags))
 
@@ -475,7 +475,8 @@ let test_weighted_parity_with_unit_weights () =
           Alcotest.(check (float 1e-9))
             "unit-weight longest path = integer longest path"
             (float_of_int (Hbgraph.longest_path hb))
-            (Hbgraph.weighted_longest_path hb ~weight:(fun _ -> 1.)))
+            (Hbgraph.weighted_longest_path hb
+               ~weight:(Array.make (Hbgraph.num_nodes hb) 1.)))
         [ Hbgraph.build ir; Hbgraph.build ~fifo_slots:1 ir ])
     [ chain_ir (); build_algo "ring-allreduce"; star_broadcast_ir () ]
 
@@ -491,7 +492,8 @@ let test_weighted_path_uses_weights () =
   in
   (* Heaviest chain: send0 (10) → recv0 (10) → recv1 (1) = 21. *)
   Alcotest.(check (float 1e-9)) "weighted path" 21.
-    (Hbgraph.weighted_longest_path hb ~weight:w)
+    (Hbgraph.weighted_longest_path hb
+       ~weight:(Array.init (Hbgraph.num_nodes hb) w))
 
 (* ------------------------------------------------------------------ *)
 (* Per-link aggregation in Analysis                                    *)
@@ -661,6 +663,379 @@ let test_bound_never_exceeds_simulation () =
   if !analyzed < 12 then
     Alcotest.failf "only %d registry configurations simulated" !analyzed
 
+(* ------------------------------------------------------------------ *)
+(* redundant-send against the buffer scan                              *)
+(* ------------------------------------------------------------------ *)
+
+(* The rule as it was first written: at every pure-copy delivery, scan
+   the destination rank's input, output and scratch buffers for each
+   payload chunk. It costs O(deliveries × buffer size); the held-value
+   multiset must reproduce it diagnostic for diagnostic. *)
+let scan_redundant_sends (ir : Ir.t) =
+  let out = ref [] in
+  let on_deliver st ~src ~dst ~op ~payload =
+    match op with
+    | Instr.Recv | Instr.Recv_copy_send ->
+        let drank, _, _ = dst in
+        let held c =
+          let scan arr =
+            Array.exists
+              (function Some c' -> Chunk.equal c c' | None -> false)
+              arr
+          in
+          scan (Executor.Symbolic.input st ~rank:drank)
+          || scan (Executor.Symbolic.output st ~rank:drank)
+          || scan (Executor.Symbolic.scratch st ~rank:drank)
+        in
+        if Array.length payload > 0 && Array.for_all held payload then begin
+          let sg, stb, ss = src in
+          out :=
+            Lint.diag
+              ~at:{ Lint.at_gpu = sg; at_tb = stb; at_step = ss }
+              "redundant-send"
+              "sends %d chunk(s) to rank %d which already holds every one \
+               of them (e.g. %s): pure wasted wire time"
+              (Array.length payload) drank
+              (Chunk.to_string payload.(0))
+            :: !out
+        end
+    | Instr.Send | Instr.Copy | Instr.Reduce | Instr.Recv_reduce_copy
+    | Instr.Recv_reduce_send | Instr.Recv_reduce_copy_send | Instr.Nop ->
+        ()
+  in
+  (try ignore (Executor.Symbolic.run_collective ~on_deliver ir) with
+  | Executor.Exec_error _ | Chunk.Uninitialized_data -> ());
+  List.sort Lint.compare_diag !out
+
+(* Checks one IR; returns how many redundant sends both found and whether
+   the symbolic run aborted. *)
+let same_redundant_sends label ~topo ir =
+  let expected = scan_redundant_sends ir in
+  let actual = rule_diags "redundant-send" (snd (Perfcheck.lint ~topo ir)) in
+  let show ds =
+    List.map
+      (fun d ->
+        let at =
+          match d.Lint.d_at with
+          | Some a -> Printf.sprintf "%d/%d/%d" a.Lint.at_gpu a.at_tb a.at_step
+          | None -> "-"
+        in
+        at ^ " " ^ d.Lint.d_message)
+      ds
+  in
+  Alcotest.(check (list string)) label (show expected) (show actual);
+  Alcotest.(check bool) (label ^ " (records)") true (expected = actual);
+  let aborted =
+    match Executor.Symbolic.run_collective ir with
+    | _ -> false
+    | exception (Executor.Exec_error _ | Chunk.Uninitialized_data) -> true
+  in
+  (List.length expected, aborted)
+
+let map_steps f (ir : Ir.t) =
+  {
+    ir with
+    Ir.gpus =
+      Array.map
+        (fun (g : Ir.gpu) ->
+          {
+            g with
+            Ir.tbs =
+              Array.map
+                (fun (tb : Ir.tb) ->
+                  { tb with Ir.steps = Array.map (f g tb) tb.Ir.steps })
+                g.Ir.tbs;
+          })
+        ir.Ir.gpus;
+  }
+
+(* The same program with the other buffer aliasing, where the collective
+   allows it. *)
+let flip_inplace (ir : Ir.t) =
+  let c = ir.Ir.collective in
+  match
+    Collective.make c.Collective.kind ~num_ranks:c.Collective.num_ranks
+      ~chunk_factor:c.Collective.chunk_factor
+      ~inplace:(not c.Collective.inplace) ()
+  with
+  | c' -> Some { ir with Ir.collective = c' }
+  | exception Invalid_argument _ -> None
+
+(* Seeded corruptions beyond Fuzz.Mutate's: one step turned into a Nop
+   (the run then deadlocks or leaves messages in flight), reductions
+   dropped from every receive (receivers get values they may hold), both
+   (redundant deliveries, then an abort), and one send re-pointed at
+   another input slot. *)
+(* A predicate true on the k-th step visited, for one random k. *)
+let random_step rng (ir : Ir.t) =
+  let k = Random.State.int rng (max 1 (Ir.num_steps ir)) in
+  let i = ref (-1) in
+  fun () ->
+    incr i;
+    !i = k
+
+let nop_one rng ir =
+  let hit = random_step rng ir in
+  map_steps
+    (fun _ _ st ->
+      if hit () then { st with Ir.op = Instr.Nop; src = None; dst = None }
+      else st)
+    ir
+
+let drop_reductions ir =
+  map_steps
+    (fun _ _ st ->
+      match st.Ir.op with
+      | Instr.Recv_reduce_copy -> { st with Ir.op = Instr.Recv; src = None }
+      | Instr.Recv_reduce_copy_send ->
+          { st with Ir.op = Instr.Recv_copy_send; src = None }
+      | _ -> st)
+    ir
+
+let repoint_send rng ir =
+  let hit = random_step rng ir in
+  map_steps
+    (fun (g : Ir.gpu) _ st ->
+      match (hit (), st.Ir.op, st.Ir.src) with
+      | true, Instr.Send, Some l when l.Loc.count <= g.Ir.input_chunks ->
+          let index =
+            Random.State.int rng (g.Ir.input_chunks - l.Loc.count + 1)
+          in
+          { st with Ir.src = Some { l with Loc.buf = Buffer_id.Input; index } }
+      | _ -> st)
+    ir
+
+let test_redundant_differential () =
+  let rng = Random.State.make [| 16 |] in
+  let cases = ref 0 and found = ref 0 and aborted_with = ref 0 in
+  let check label ~topo ir =
+    let n, aborted = same_redundant_sends label ~topo ir in
+    incr cases;
+    found := !found + n;
+    if aborted && n > 0 then incr aborted_with
+  in
+  List.iter
+    (fun (c : H.Lint_sweep.config) ->
+      let topo = topo_of c.H.Lint_sweep.c_label in
+      List.iter
+        (fun (spec : H.Registry.spec) ->
+          let params =
+            {
+              H.Registry.default_params with
+              H.Registry.nodes = c.H.Lint_sweep.c_nodes;
+              gpus_per_node = c.H.Lint_sweep.c_gpus;
+              proto = c.H.Lint_sweep.c_proto;
+              verify = false;
+            }
+          in
+          match spec.H.Registry.build params with
+          | exception _ -> ()
+          | ir when Ir.num_ranks ir <> T.Topology.num_ranks topo -> ()
+          | ir ->
+              let label what =
+                Printf.sprintf "%s %s %s %s" spec.H.Registry.name
+                  c.H.Lint_sweep.c_label
+                  (T.Protocol.name c.H.Lint_sweep.c_proto)
+                  what
+              in
+              let variants =
+                ir :: Option.to_list (flip_inplace ir)
+              in
+              List.iteri
+                (fun v ir ->
+                  let aliasing =
+                    if ir.Ir.collective.Collective.inplace then "in-place"
+                    else "out-of-place"
+                  in
+                  check (label aliasing) ~topo ir;
+                  if v = 0 && c.H.Lint_sweep.c_proto = T.Protocol.Simple
+                  then
+                    List.iter
+                      (fun (what, m) ->
+                        check (label (aliasing ^ " " ^ what)) ~topo m)
+                      [
+                        ("break_fusion", Msccl_fuzz.Mutate.break_fusion ir);
+                        ("break_symmetry", Msccl_fuzz.Mutate.break_symmetry ir);
+                        ("nop", nop_one rng ir);
+                        ("drop reductions", drop_reductions ir);
+                        ( "drop reductions, nop",
+                          nop_one rng (drop_reductions ir) );
+                        ("repoint send", repoint_send rng ir);
+                        ("repoint send 2", repoint_send rng ir);
+                      ])
+                variants)
+        H.Registry.all)
+    H.Lint_sweep.default_configs;
+  let fixture = topo_of "custom:1:2" in
+  check "redundant fixture" ~topo:fixture (redundant_send_ir ());
+  check "distinct fixture" ~topo:fixture (distinct_sends_ir ());
+  Alcotest.(check bool)
+    (Printf.sprintf "%d cases found %d redundant sends" !cases !found)
+    true (!found > 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d aborted runs reported redundant sends" !aborted_with)
+    true (!aborted_with > 0)
+
+(* ------------------------------------------------------------------ *)
+(* Cut capacities against the per-cut fold                             *)
+(* ------------------------------------------------------------------ *)
+
+(* The bandwidth bound as first written: one fold over all p² routes per
+   cut, O(p³) in all. The one-pass capacities must give the same bound
+   bit for bit. *)
+let fold_cut_capacity topo ~first pred =
+  let seen = Hashtbl.create 8 in
+  let unbounded = ref false in
+  T.Topology.fold_routes topo
+    (fun () ~src ~dst rt ->
+      if pred ~src ~dst then
+        match rt.T.Topology.hops with
+        | [] -> unbounded := true
+        | h :: _ when first -> Hashtbl.replace seen h ()
+        | hops -> Hashtbl.replace seen (List.nth hops (List.length hops - 1)) ())
+    ();
+  if !unbounded then infinity
+  else
+    Hashtbl.fold
+      (fun h () acc -> acc +. T.Topology.resource_capacity topo h)
+      seen 0.
+
+let fold_capacities topo =
+  let node_of = T.Topology.node_of topo in
+  let p = T.Topology.num_ranks topo and nn = T.Topology.num_nodes topo in
+  {
+    Perfcheck.rank_out =
+      Array.init p (fun r ->
+          fold_cut_capacity topo ~first:true (fun ~src ~dst:_ -> src = r));
+    rank_in =
+      Array.init p (fun r ->
+          fold_cut_capacity topo ~first:false (fun ~src:_ ~dst -> dst = r));
+    node_out =
+      Array.init nn (fun n ->
+          fold_cut_capacity topo ~first:true (fun ~src ~dst ->
+              node_of src = n && node_of dst <> n));
+    node_in =
+      Array.init nn (fun n ->
+          fold_cut_capacity topo ~first:false (fun ~src ~dst ->
+              node_of src <> n && node_of dst = n));
+  }
+
+let fold_lb_bandwidth topo (d : Perfcheck.cuts) =
+  let worst = ref 0. in
+  let consider demand cap =
+    if demand > 0. then begin
+      let t = demand /. cap in
+      if t > !worst then worst := t
+    end
+  in
+  let c = fold_capacities topo in
+  for r = 0 to T.Topology.num_ranks topo - 1 do
+    consider d.Perfcheck.rank_out.(r) c.Perfcheck.rank_out.(r);
+    consider d.Perfcheck.rank_in.(r) c.Perfcheck.rank_in.(r)
+  done;
+  if T.Topology.num_nodes topo > 1 then
+    for n = 0 to T.Topology.num_nodes topo - 1 do
+      consider d.Perfcheck.node_out.(n) c.Perfcheck.node_out.(n);
+      consider d.Perfcheck.node_in.(n) c.Perfcheck.node_in.(n)
+    done;
+  !worst
+
+let bits_equal label a b =
+  if not (Float.equal a b) then
+    Alcotest.failf "%s: %h <> %h" label a b
+
+(* Collective kinds priced by distinct-projection counting; the dense
+   ones only at small scale, where generic_demand's O(p³) stays cheap. *)
+let generic_kinds p =
+  let custom =
+    Collective.Custom
+      {
+        Collective.custom_name = "shift";
+        input_chunks = 1;
+        output_chunks = 1;
+        expected =
+          (fun ~rank ~index ->
+            Some (Chunk.input ~rank:((rank + 1) mod p) ~index));
+        initial = None;
+      }
+  in
+  [
+    Collective.Broadcast 0; Collective.Broadcast (p - 1); Collective.Alltonext;
+    Collective.Scatter 0; Collective.Gather (p / 2); custom;
+  ]
+  @ if p <= 32 then [ Collective.Allgather; Collective.Alltoall ] else []
+
+let test_cut_capacities_match_fold () =
+  List.iter
+    (fun label ->
+      let topo = topo_of label in
+      let one_pass = Perfcheck.cut_capacities topo in
+      let folded = fold_capacities topo in
+      let same what a b =
+        Alcotest.(check int) (what ^ " cuts") (Array.length a) (Array.length b);
+        Array.iteri
+          (fun i x ->
+            bits_equal (Printf.sprintf "%s %s %d" label what i) x b.(i))
+          a
+      in
+      same "rank_out" one_pass.Perfcheck.rank_out folded.Perfcheck.rank_out;
+      same "rank_in" one_pass.Perfcheck.rank_in folded.Perfcheck.rank_in;
+      if T.Topology.num_nodes topo > 1 then begin
+        same "node_out" one_pass.Perfcheck.node_out folded.Perfcheck.node_out;
+        same "node_in" one_pass.Perfcheck.node_in folded.Perfcheck.node_in
+      end;
+      let p = T.Topology.num_ranks topo in
+      List.iter
+        (fun kind ->
+          let coll = Collective.make kind ~num_ranks:p () in
+          let demand = Perfcheck.demand topo coll ~chunk_bytes:4096. in
+          bits_equal
+            (Printf.sprintf "%s %s lb_bandwidth" label (Collective.name coll))
+            (fold_lb_bandwidth topo demand)
+            (Perfcheck.bandwidth_bound ~demand ~capacity:one_pass))
+        (generic_kinds p))
+    [
+      "ndv4:1"; "ndv4:2"; "ndv4:4"; "ndv4:32"; "dgx2:1"; "dgx2:2"; "dgx1";
+      "custom:3:4";
+    ]
+
+(* Through Perfcheck.analyze: every registry algorithm's lb_bandwidth at
+   the lint presets equals the per-cut fold's. *)
+let test_analyze_lb_bandwidth_matches_fold () =
+  let checked = ref 0 in
+  List.iter
+    (fun (label, nodes, gpus_per_node) ->
+      let topo = topo_of label in
+      List.iter
+        (fun (spec : H.Registry.spec) ->
+          match
+            spec.H.Registry.build
+              {
+                H.Registry.default_params with
+                H.Registry.nodes;
+                gpus_per_node;
+                verify = false;
+              }
+          with
+          | exception _ -> ()
+          | ir when Ir.num_ranks ir <> T.Topology.num_ranks topo -> ()
+          | ir ->
+              incr checked;
+              let coll = ir.Ir.collective in
+              let chunk_bytes =
+                float_of_int Perfcheck.default_size_bytes
+                /. float_of_int (Collective.input_buffer_size coll)
+              in
+              bits_equal
+                (Printf.sprintf "%s on %s" spec.H.Registry.name label)
+                (fold_lb_bandwidth topo
+                   (Perfcheck.demand topo coll ~chunk_bytes))
+                (Perfcheck.analyze ~topo ir).Perfcheck.bound.Perfcheck
+                  .lb_bandwidth)
+        H.Registry.all)
+    [ ("ndv4:1", 1, 8); ("ndv4:2", 2, 8); ("dgx2:1", 1, 16); ("dgx1", 1, 8) ];
+  Alcotest.(check bool) "registry configurations priced" true (!checked >= 40)
+
 let () =
   Alcotest.run "perfcheck"
     [
@@ -695,6 +1070,15 @@ let () =
             test_link_hotspot_flagged;
           Alcotest.test_case "perf rules registered" `Quick
             test_perf_rules_registered;
+          Alcotest.test_case "redundant send = buffer scan" `Quick
+            test_redundant_differential;
+        ] );
+      ( "cuts",
+        [
+          Alcotest.test_case "one-pass capacities = per-cut fold" `Quick
+            test_cut_capacities_match_fold;
+          Alcotest.test_case "analyze lb_bandwidth = per-cut fold" `Quick
+            test_analyze_lb_bandwidth_matches_fold;
         ] );
       ( "paths",
         [
