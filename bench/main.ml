@@ -366,6 +366,105 @@ let run_perfcheck () =
                   opt (Option.map (fun c -> c /. ingest_s) cli_s) ) ] ) ])
 
 (* ------------------------------------------------------------------ *)
+(* Simulator sweep benchmark                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* The simulate command's 1KB-1GB sweep (21 sizes, each one
+   Simulator.run_buffer) run in process on compiled IRs, best of three.
+   The engine's cost per event is what the figures' size sweeps pay for;
+   events/s tracks it independently of how many events a point takes.
+   The committed BENCH_sim.json keeps a "baseline" member (the points as
+   measured before a change) across runs, and each fresh point prints
+   its ratio to it. *)
+let sim_file = "BENCH_sim.json"
+
+let run_sim () =
+  let cases =
+    [
+      ("two-step-alltoall", "ndv4:16", T.Protocol.Simple, 1);
+      ("naive-alltoall", "ndv4:8", T.Protocol.Simple, 1);
+      ("allpairs-allreduce", "dgx2:1", T.Protocol.LL, 4);
+      ("ring-allreduce", "ndv4:32", T.Protocol.Simple, 1);
+    ]
+  in
+  let sizes = H.Sweep.sizes ~from:1024. ~upto:(H.Sweep.gib 1.) in
+  let baseline =
+    if not (Sys.file_exists sim_file) then Json.Null
+    else
+      match
+        Json.parse (In_channel.with_open_bin sim_file In_channel.input_all)
+      with
+      | Ok v -> Json.member "baseline" v
+      | Error m -> failwith (Printf.sprintf "%s: %s" sim_file m)
+  in
+  let baseline_s config =
+    match Json.member "points" baseline with
+    | Json.List pts ->
+        List.find_map
+          (fun p ->
+            match Json.(member "config" p, member "seconds" p) with
+            | Json.String c, Json.Float s when c = config -> Some s
+            | _ -> None)
+          pts
+    | _ -> None
+  in
+  let point (algo, topo_name, proto, instances) =
+    let topo =
+      match H.Registry.parse_topology topo_name with
+      | Ok t -> t
+      | Error m -> failwith m
+    in
+    let spec = Option.get (H.Registry.find algo) in
+    let ir =
+      spec.H.Registry.build
+        {
+          H.Registry.default_params with
+          nodes = T.Topology.num_nodes topo;
+          gpus_per_node = T.Topology.gpus_per_node topo;
+          proto;
+          instances;
+          verify = false;
+        }
+    in
+    let config =
+      Printf.sprintf "%s %s %s r=%d" algo topo_name (T.Protocol.name proto)
+        instances
+    in
+    let sweep () =
+      List.fold_left
+        (fun acc buffer_bytes ->
+          acc + (Simulator.run_buffer ~topo ~buffer_bytes ir).Simulator.events)
+        0 sizes
+    in
+    let events = sweep () in
+    Gc.compact ();
+    let seconds = best_of 3 sweep in
+    let ratio =
+      match baseline_s config with
+      | Some b -> Printf.sprintf "  (%.2fx baseline)" (seconds /. b)
+      | None -> ""
+    in
+    Printf.printf "%-42s %8.3f s  %9d events  %5.2f M events/s%s\n%!" config
+      seconds events
+      (float_of_int events /. seconds /. 1e6)
+      ratio;
+    Json.(
+      Obj
+        [ ("config", String config); ("ranks", Int (Ir.num_ranks ir));
+          ("sizes", Int (List.length sizes)); ("seconds", Float seconds);
+          ("events", Int events);
+          ("events_per_s", Float (float_of_int events /. seconds)) ])
+  in
+  Printf.printf "== simulate sweep, %d sizes 1KB-1GB, best of 3 ==\n%!"
+    (List.length sizes);
+  let points = List.map point cases in
+  write_json sim_file
+    Json.(
+      Obj
+        [ ("benchmark", String "sim"); ("points", List points);
+          ("baseline", baseline) ])
+
+(* ------------------------------------------------------------------ *)
 (* Scale benchmark: the full pipeline at cluster sizes                  *)
 (* ------------------------------------------------------------------ *)
 
@@ -895,12 +994,13 @@ let () =
   | Some "tuner" -> run_tuner ()
   | Some "e2e" -> run_e2e ()
   | Some "perfcheck" -> run_perfcheck ()
+  | Some "sim" -> run_sim ()
   | Some "scale" -> run_scale ~quick:(has "--quick") ~check:(has "--check") ()
   | Some "chaos" -> run_chaos ()
   | Some other ->
       Printf.eprintf
         "unknown selector %S (expected \
-         micro|figures|ablations|tuner|e2e|perfcheck|scale|chaos)\n"
+         micro|figures|ablations|tuner|e2e|perfcheck|sim|scale|chaos)\n"
         other;
       exit 1
   | None ->
@@ -910,4 +1010,5 @@ let () =
       run_tuner ();
       run_e2e ();
       run_perfcheck ();
+      run_sim ();
       run_scale ~quick:false ~check:false ()

@@ -307,7 +307,7 @@ let compile_cmd =
           Printf.eprintf "%s\n" (Ir.summary ir);
           match output with
           | None ->
-              print_string (Xml.to_string ir);
+              Xml.output stdout ir;
               ok
           | Some path ->
               Xml.save ir path;

@@ -23,6 +23,7 @@ type kind =
       recvs : int;
     }
   | Undelivered_messages of { src : int; dst : int; chan : int; count : int }
+  | Count_mismatch of Ir.count_mismatch
 
 type diag = {
   dg_kind : kind;
@@ -47,6 +48,7 @@ let kind_name = function
   | Deadlock _ -> "deadlock"
   | Connection_mismatch _ -> "conn-mismatch"
   | Undelivered_messages _ -> "undelivered"
+  | Count_mismatch _ -> "count-mismatch"
 
 let pp_opt_site fmt = function
   | None -> Format.pp_print_string fmt "never written"
@@ -89,7 +91,8 @@ let pp_diag fmt d =
   | Undelivered_messages { src; dst; chan; count } ->
       Format.fprintf fmt
         "connection %d->%d ch%d: %d message(s) left in flight" src dst chan
-        count);
+        count
+  | Count_mismatch m -> Ir.pp_count_mismatch fmt m);
   if d.dg_members > 1 then
     Format.fprintf fmt " (and %d symmetric rank%s)" (d.dg_members - 1)
       (if d.dg_members = 2 then "" else "s")
@@ -1666,6 +1669,34 @@ let analyze ?symmetry ?(lints = true) (ir : Ir.t) =
   in
   let stride = stride_of ir in
   let all_ranks = List.init (Ir.num_ranks ir) (fun r -> r) in
+  let count_mismatch_report ms =
+    {
+      r_mode = Full;
+      r_diags =
+        connection_diags ir
+        @ List.map
+            (fun (m : Ir.count_mismatch) ->
+              let r = m.Ir.cm_recv in
+              {
+                dg_kind = Count_mismatch m;
+                dg_rank = r.Ir.ep_rank;
+                dg_loc = None;
+                dg_site =
+                  Some
+                    {
+                      p_rank = r.Ir.ep_rank;
+                      p_tb = r.Ir.ep_tb;
+                      p_step = r.Ir.ep_step;
+                      p_op = r.Ir.ep_op;
+                    };
+                dg_members = 1;
+              })
+            ms;
+      r_lints = [];
+      r_steps_interpreted = 0;
+      r_slots_checked = 0;
+    }
+  in
   let run_full_mode () =
     let conn = connection_diags ir in
     let eng = make_engine ~events:lints ir ~stride in
@@ -1715,21 +1746,29 @@ let analyze ?symmetry ?(lints = true) (ir : Ir.t) =
       r_slots_checked = slots_checked;
     }
   in
-  match symmetry with
-  | Some sym -> (
-      match plan_of ir sym with
-      | None -> run_full_mode ()
-      | Some plan -> (
-          try
-            (* The certified symmetry maps every connection onto a
-               canonical representative with equal send/recv counts, so
-               scanning representative ranks only is sound here; any
-               mismatch (or a canonical-key collision) falls back to the
-               full scan, which re-derives the diagnostics verbatim. *)
-            if connection_diags_quotient ir plan <> [] then run_full_mode ()
-            else quotient_mode sym plan
-          with Fallback -> run_full_mode ()))
-  | None -> run_full_mode ()
+  (* A send and its receive that move different chunk counts have no
+     transfer function: report them with both steps and interpret
+     nothing. *)
+  match Ir.count_mismatches ir with
+  | _ :: _ as ms -> count_mismatch_report ms
+  | [] -> (
+      match symmetry with
+      | Some sym -> (
+          match plan_of ir sym with
+          | None -> run_full_mode ()
+          | Some plan -> (
+              try
+                (* The certified symmetry maps every connection onto a
+                   canonical representative with equal send/recv counts,
+                   so scanning representative ranks only is sound here;
+                   any mismatch (or a canonical-key collision) falls back
+                   to the full scan, which re-derives the diagnostics
+                   verbatim. *)
+                if connection_diags_quotient ir plan <> [] then
+                  run_full_mode ()
+                else quotient_mode sym plan
+              with Fallback -> run_full_mode ()))
+      | None -> run_full_mode ())
 
 let check ?symmetry ir =
   let r = analyze ?symmetry ~lints:false ir in

@@ -22,10 +22,11 @@
       statically instead of as an {!Msccl_core.Executor.Exec_error}
       crash), [dead-store] and [unread-scratch] (backward liveness over
       the write-event graph from the constrained output slots);
-    - deadlock, connection imbalance and in-flight leftovers surface as
-      diagnostics too, keeping the static verdict aligned with the
-      executor's dynamic one — the fuzz provenance oracle asserts exactly
-      that equivalence.
+    - deadlock, connection imbalance, in-flight leftovers and a send
+      whose receive takes a different chunk count surface as diagnostics
+      too, keeping the static verdict aligned with the executor's
+      dynamic one — the fuzz provenance oracle asserts exactly that
+      equivalence.
 
     With a certified {!Symmetry.t} whose generator has rank-uniform chunk
     bijections, the pass is {e orbit-quotiented}: only representative
@@ -83,6 +84,10 @@ type kind =
       chan : int;
       count : int;
     }
+  | Count_mismatch of Ir.count_mismatch
+      (** A send and the receive it delivers move different chunk counts
+          (anchored at the receive). Found before interpretation, which
+          is then skipped: no transfer function is defined on it. *)
 
 type diag = {
   dg_kind : kind;

@@ -202,6 +202,14 @@ module Make (V : VALUE) = struct
     in
     let pop (g : Ir.gpu) (tb : Ir.tb) d op =
       let m = Queue.pop (recv_fifo g tb) in
+      let want = tb.Ir.steps.(d).Ir.count in
+      if Array.length m.payload <> want then begin
+        let sg = ir.Ir.gpus.(m.from_gpu) in
+        error "%s: receives %d chunk(s) but its matching send, %s, sent %d"
+          (ctx g tb d) want
+          (ctx sg sg.Ir.tbs.(m.from_tb) m.from_step)
+          (Array.length m.payload)
+      end;
       (match on_deliver with
       | Some f ->
           f st

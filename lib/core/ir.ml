@@ -152,6 +152,117 @@ let validate t =
         fail "Ir: connection %d->%d ch%d receives without sends" src dst ch)
     recvs
 
+type endpoint = {
+  ep_rank : int;
+  ep_tb : int;
+  ep_step : int;
+  ep_op : Instr.opcode;
+  ep_count : int;
+}
+
+type count_mismatch = {
+  cm_src : int;
+  cm_dst : int;
+  cm_chan : int;
+  cm_message : int;
+  cm_send : endpoint;
+  cm_recv : endpoint;
+}
+
+let count_mismatches t =
+  (* Connection -> its sending and receiving thread blocks, newest first
+     (a valid IR has one of each; malformed ones keep every owner, in IR
+     order, as the happens-before graph does). *)
+  let conns = Hashtbl.create 64 in
+  let owners key =
+    match Hashtbl.find_opt conns key with
+    | Some o -> o
+    | None ->
+        let o = (ref [], ref []) in
+        Hashtbl.add conns key o;
+        o
+  in
+  Array.iter
+    (fun g ->
+      Array.iter
+        (fun tb ->
+          if tb.send >= 0 then begin
+            let senders, _ = owners (g.gpu_id, tb.send, tb.chan) in
+            senders := (g.gpu_id, tb) :: !senders
+          end;
+          if tb.recv >= 0 then begin
+            let _, receivers = owners (tb.recv, g.gpu_id, tb.chan) in
+            receivers := (g.gpu_id, tb) :: !receivers
+          end)
+        g.tbs)
+    t.gpus;
+  (* The moving steps of a connection's owners, in IR order, one per
+     call; nothing is kept beyond the current position. *)
+  let cursor moves owners =
+    let owners = ref (List.rev owners) and i = ref 0 in
+    let rec next () =
+      match !owners with
+      | [] -> None
+      | (rank, tb) :: rest ->
+          if !i >= Array.length tb.steps then begin
+            owners := rest;
+            i := 0;
+            next ()
+          end
+          else begin
+            let st = tb.steps.(!i) in
+            incr i;
+            if moves st.op then Some (rank, tb, st) else next ()
+          end
+    in
+    next
+  in
+  let endpoint (rank, tb, st) =
+    {
+      ep_rank = rank;
+      ep_tb = tb.tb_id;
+      ep_step = st.s;
+      ep_op = st.op;
+      ep_count = st.count;
+    }
+  in
+  (* The k-th send on a connection delivers the k-th receive. *)
+  Hashtbl.fold
+    (fun (src, dst, chan) (senders, receivers) acc ->
+      let next_send = cursor Instr.sends !senders in
+      let next_recv = cursor Instr.receives !receivers in
+      let rec pair k acc =
+        match (next_send (), next_recv ()) with
+        | Some ((_, _, s) as se), Some ((_, _, r) as re) ->
+            pair (k + 1)
+              (if s.count <> r.count then
+                 {
+                   cm_src = src;
+                   cm_dst = dst;
+                   cm_chan = chan;
+                   cm_message = k;
+                   cm_send = endpoint se;
+                   cm_recv = endpoint re;
+                 }
+                 :: acc
+               else acc)
+        | _ -> acc
+      in
+      pair 0 acc)
+    conns []
+  |> List.sort compare
+
+let pp_endpoint fmt e =
+  Format.fprintf fmt "rank %d tb %d step %d (%s)" e.ep_rank e.ep_tb e.ep_step
+    (Instr.opcode_name e.ep_op)
+
+let pp_count_mismatch fmt m =
+  Format.fprintf fmt
+    "connection %d->%d ch%d, message %d: %a sends %d chunk(s) but %a \
+     receives %d"
+    m.cm_src m.cm_dst m.cm_chan m.cm_message pp_endpoint m.cm_send
+    m.cm_send.ep_count pp_endpoint m.cm_recv m.cm_recv.ep_count
+
 let equal_step (x : step) (y : step) =
   x.s = y.s && x.op = y.op && x.count = y.count && x.depends = y.depends
   && x.has_dep = y.has_dep

@@ -69,6 +69,37 @@ val validate : t -> unit
     references valid and [has_dep] consistent; send/receive counts matched
     per connection. Raises [Invalid_argument] with a message. *)
 
+type endpoint = {
+  ep_rank : int;
+  ep_tb : int;
+  ep_step : int;
+  ep_op : Instr.opcode;
+  ep_count : int;  (** The step's [count]. *)
+}
+(** One end of a message: the sending or the receiving step. *)
+
+type count_mismatch = {
+  cm_src : int;
+  cm_dst : int;
+  cm_chan : int;
+  cm_message : int;  (** Position of the message on its connection, from 0. *)
+  cm_send : endpoint;
+  cm_recv : endpoint;
+}
+
+val count_mismatches : t -> count_mismatch list
+(** Messages whose sending and receiving steps move different numbers of
+    chunks: the k-th send on a connection delivers the k-th receive, and
+    both must agree on [count]. {!validate} does not check this (it
+    balances message counts, not their sizes); the verifiers report it
+    instead of reducing arrays of different lengths. Sorted by
+    connection, then message. Tolerates malformed IR (unbalanced
+    connections pair up to the shorter side). *)
+
+val pp_count_mismatch : Format.formatter -> count_mismatch -> unit
+(** ["connection S->D chC, message K: rank .. tb .. step .. (op) sends N
+    chunk(s) but rank .. tb .. step .. (op) receives M"]. *)
+
 val equal : t -> t -> bool
 (** Structural equality: name, protocol, collective shape
     ({!Collective.equal_shape} — a [Custom] collective's closures are not

@@ -57,8 +57,9 @@ let rules =
     {
       rule_id = "conn-mismatch";
       rule_doc =
-        "a connection's send and receive counts differ: a message is lost \
-         or a receive waits forever";
+        "a connection's send and receive counts differ, so a message is \
+         lost or a receive waits forever; or a send and the receive it \
+         delivers move different chunk counts";
       rule_severity = Error;
       rule_category = Correctness;
     };
@@ -201,12 +202,20 @@ let check_fifo_deadlock hb slots =
           "dependency cycle through %d step(s) (with %d FIFO slots)" k slots;
       ]
 
-let check_conn_mismatch hb =
+let check_conn_mismatch hb (ir : Ir.t) =
   List.map
     (fun (src, dst, ch, sends, recvs) ->
       diag "conn-mismatch" "connection %d->%d ch%d: %d send(s) vs %d receive(s)"
         src dst ch sends recvs)
     (Hbgraph.mismatched_connections hb)
+  @ List.map
+      (fun (m : Ir.count_mismatch) ->
+        let r = m.Ir.cm_recv in
+        let at =
+          { at_gpu = r.Ir.ep_rank; at_tb = r.Ir.ep_tb; at_step = r.Ir.ep_step }
+        in
+        diag ~at "conn-mismatch" "%a" Ir.pp_count_mismatch m)
+      (Ir.count_mismatches ir)
 
 let check_dangling_depends (ir : Ir.t) =
   let out = ref [] in
@@ -381,7 +390,7 @@ let run ?fifo_slots ?(max_tbs_per_channel = 8) (ir : Ir.t) =
     [
       check_races hb ir;
       check_fifo_deadlock hb slots;
-      check_conn_mismatch hb;
+      check_conn_mismatch hb ir;
       check_dangling_depends ir;
       check_oob ir;
       check_scratch ir;

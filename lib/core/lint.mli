@@ -14,7 +14,9 @@
     - [fifo-deadlock] (error): the waiting graph including FIFO
       back-pressure edges has a cycle — the kernel would hang.
     - [conn-mismatch] (error): a connection's send and receive counts
-      differ, so a message is lost or a receive waits forever.
+      differ, so a message is lost or a receive waits forever; or a send
+      and the receive it delivers move different chunk counts
+      ({!Ir.count_mismatches}; anchored at the receive).
     - [dangling-depends] (error): a [depends] entry points at a missing
       thread block or step, at the step's own thread block, or at a step
       not marked [has_dep] (the runtime would not post its semaphore).

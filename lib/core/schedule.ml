@@ -332,7 +332,7 @@ let run ?(proto = Msccl_topology.Protocol.Simple) ?name ?slots
   Array.iter
     (fun (i : Instr.t) ->
       if indeg.(i.Instr.id) = 0 then
-        Msccl_sim.Pqueue.add heap ~priority:(priority i.Instr.id) i)
+        Msccl_sim.Pqueue.add heap ~priority:(priority i.Instr.id) i.Instr.id)
     instrs;
   let conns : (int * int * int, conn_state) Hashtbl.t = Hashtbl.create 32 in
   let conn_of key =
@@ -479,7 +479,7 @@ let run ?(proto = Msccl_topology.Protocol.Simple) ?name ?slots
         let s = succ_tgt.(k) in
         indeg.(s) <- indeg.(s) - 1;
         if indeg.(s) = 0 then
-          Msccl_sim.Pqueue.add heap ~priority:(priority s) instrs.(s)
+          Msccl_sim.Pqueue.add heap ~priority:(priority s) s
       done
     end
   in
@@ -489,7 +489,7 @@ let run ?(proto = Msccl_topology.Protocol.Simple) ?name ?slots
       drive ()
     end
     else if not (Msccl_sim.Pqueue.is_empty heap) then begin
-      try_assign (Msccl_sim.Pqueue.pop_min heap);
+      try_assign instrs.(Msccl_sim.Pqueue.pop_min heap);
       drive ()
     end
   in

@@ -84,6 +84,23 @@ type result = {
   events : int;
 }
 
+type conn = {
+  c_route : T.Topology.route;
+  c_hops : int array;
+      (* the engine resources of [c_route], built once per connection;
+         orbit-canonical in cohort mode *)
+  mutable c_in_flight : int;
+  mutable c_arrived : int;
+  mutable c_waiting_recv : (unit -> unit) option;
+  mutable c_waiting_send : (unit -> unit) option;
+  c_free_delay : float;  (* injected FIFO-slot stall (faults) *)
+  (* InfiniBand sends are staged: the proxy thread serializes the wire
+     transfers of one connection (one queue pair), so a later message waits
+     for the one in flight even though the thread block already moved on. *)
+  mutable c_proxy_busy : bool;
+  c_proxy_queue : (float * (unit -> unit)) Queue.t;  (* wire bytes, arrival *)
+}
+
 type tb_state = {
   ts_rank : int;
   ts_tb : Ir.tb;
@@ -101,23 +118,11 @@ type tb_state = {
   mutable ts_wait : (wait * float) option;
       (* what this tb is parked on right now, and since when — the raw
          material of the watchdog's hang diagnosis *)
-}
-
-type conn = {
-  c_route : T.Topology.route;
-  c_hops : int array;
-      (* the engine resources of [c_route], built once per connection;
-         orbit-canonical in cohort mode *)
-  mutable c_in_flight : int;
-  mutable c_arrived : int;
-  mutable c_waiting_recv : (unit -> unit) option;
-  mutable c_waiting_send : (unit -> unit) option;
-  c_free_delay : float;  (* injected FIFO-slot stall (faults) *)
-  (* InfiniBand sends are staged: the proxy thread serializes the wire
-     transfers of one connection (one queue pair), so a later message waits
-     for the one in flight even though the thread block already moved on. *)
-  mutable c_proxy_busy : bool;
-  c_proxy_queue : (float * (unit -> unit)) Queue.t;  (* wire bytes, arrival *)
+  mutable ts_recv_conn : conn option;
+  mutable ts_send_conn : conn option;
+      (* the connections this tb receives and sends on, fixed by (rank,
+         tb.recv / tb.send, tb.chan): resolved on first use, so the steps
+         after it reach them without a table lookup *)
 }
 
 (* Cohort (quotient) simulation view: only ranks [0, q_stride) are
@@ -240,6 +245,26 @@ let run_impl ~topo ~chunk_bytes ~max_tiles ~check_occupancy ~timeline ~faults
         Hashtbl.add conns key c;
         c
   in
+  let recv_conn st =
+    match st.ts_recv_conn with
+    | Some c -> c
+    | None ->
+        let c =
+          conn_of ~src:st.ts_tb.Ir.recv ~dst:st.ts_rank ~ch:st.ts_tb.Ir.chan
+        in
+        st.ts_recv_conn <- Some c;
+        c
+  in
+  let send_conn st =
+    match st.ts_send_conn with
+    | Some c -> c
+    | None ->
+        let c =
+          conn_of ~src:st.ts_rank ~dst:st.ts_tb.Ir.send ~ch:st.ts_tb.Ir.chan
+        in
+        st.ts_send_conn <- Some c;
+        c
+  in
   let states =
     Array.map
       (fun (g : Ir.gpu) ->
@@ -256,6 +281,8 @@ let run_impl ~topo ~chunk_bytes ~max_tiles ~check_occupancy ~timeline ~faults
               ts_finished = false;
               ts_span_start = 0.;
               ts_wait = None;
+              ts_recv_conn = None;
+              ts_send_conn = None;
             })
           g.Ir.tbs)
       gpus
@@ -298,13 +325,16 @@ let run_impl ~topo ~chunk_bytes ~max_tiles ~check_occupancy ~timeline ~faults
     st.ts_wait <- None;
     k ()
   in
-  (* Wake whoever waits on [st]'s semaphore reaching its new value. *)
+  (* Wake whoever waits on [st]'s semaphore reaching its new value. Most
+     completions have no waiter at all, so an empty table is not
+     probed. *)
   let wake_sem st =
-    match Hashtbl.find_opt st.ts_waiters st.ts_completed with
-    | None -> ()
-    | Some ready ->
-        Hashtbl.remove st.ts_waiters st.ts_completed;
-        List.iter (fun k -> k ()) ready
+    if Hashtbl.length st.ts_waiters > 0 then
+      match Hashtbl.find_opt st.ts_waiters st.ts_completed with
+      | None -> ()
+      | Some ready ->
+          Hashtbl.remove st.ts_waiters st.ts_completed;
+          List.iter (fun k -> k ()) ready
   in
   let free_slot c =
     let release () =
@@ -363,6 +393,17 @@ let run_impl ~topo ~chunk_bytes ~max_tiles ~check_occupancy ~timeline ~faults
           on_arrival ())
     end
   in
+  (* The first dependency (tb, s) of a step not yet satisfied for the
+     current tile: one is satisfied when that tb completed step s in the
+     same tile (semaphores are monotonic in tile * nsteps + step). *)
+  let rec blocking_dep st = function
+    | [] -> None
+    | ((dtb, dstep) as dep) :: rest ->
+        let target = states.(st.ts_rank).(dtb) in
+        let threshold = (st.ts_tile * target.ts_nsteps) + dstep + 1 in
+        if target.ts_completed < threshold then Some dep
+        else blocking_dep st rest
+  in
   let rec advance st () =
     if st.ts_pc >= st.ts_nsteps then begin
       st.ts_tile <- st.ts_tile + 1;
@@ -380,18 +421,7 @@ let run_impl ~topo ~chunk_bytes ~max_tiles ~check_occupancy ~timeline ~faults
       check_deps st step
     end
   and check_deps st step =
-    (* A dependency (tb, s) is satisfied for the current tile when that tb
-       completed step s in the same tile (semaphores are monotonic in
-       tile * nsteps + step). *)
-    let blocking =
-      List.find_opt
-        (fun (dtb, dstep) ->
-          let target = states.(st.ts_rank).(dtb) in
-          let threshold = (st.ts_tile * target.ts_nsteps) + dstep + 1 in
-          target.ts_completed < threshold)
-        step.Ir.depends
-    in
-    match blocking with
+    match blocking_dep st step.Ir.depends with
     | Some (dtb, dstep) ->
         let target = states.(st.ts_rank).(dtb) in
         let threshold = (st.ts_tile * target.ts_nsteps) + dstep + 1 in
@@ -407,9 +437,7 @@ let run_impl ~topo ~chunk_bytes ~max_tiles ~check_occupancy ~timeline ~faults
             recv_phase st step)
   and recv_phase st step =
     if Instr.receives step.Ir.op then begin
-      let c =
-        conn_of ~src:st.ts_tb.Ir.recv ~dst:st.ts_rank ~ch:st.ts_tb.Ir.chan
-      in
+      let c = recv_conn st in
       if c.c_arrived > 0 then begin
         c.c_arrived <- c.c_arrived - 1;
         let bytes = float_of_int step.Ir.count *. tile_bytes in
@@ -443,9 +471,7 @@ let run_impl ~topo ~chunk_bytes ~max_tiles ~check_occupancy ~timeline ~faults
     else send_phase st step
   and send_phase st step =
     if Instr.sends step.Ir.op then begin
-      let c =
-        conn_of ~src:st.ts_rank ~dst:st.ts_tb.Ir.send ~ch:st.ts_tb.Ir.chan
-      in
+      let c = send_conn st in
       if c.c_in_flight < slots then begin
         c.c_in_flight <- c.c_in_flight + 1;
         let bytes = float_of_int step.Ir.count *. tile_bytes in

@@ -527,7 +527,10 @@ let write_gpu b depth (g : Ir.gpu) =
   int_attr b "s_chunks" g.Ir.scratch_chunks;
   children b depth "gpu" g.Ir.tbs (write_tb b)
 
-let to_buffer (ir : Ir.t) =
+(* Prints [ir] into a buffer, which it hands to [flush] after each <gpu>
+   element and returns at the end. A [flush] that writes the text out and
+   clears the buffer keeps one rank's text in memory, not the file's. *)
+let print ?(flush = ignore) (ir : Ir.t) =
   let b = Buffer.create 65536 in
   let coll = ir.Ir.collective in
   Buffer.add_string b "<?xml version=\"1.0\"?>\n";
@@ -550,12 +553,19 @@ let to_buffer (ir : Ir.t) =
   | Collective.Allreduce | Collective.Allgather | Collective.Reduce_scatter
   | Collective.Alltoall | Collective.Alltonext ->
       attr b "coll" (Collective.name coll));
-  children b 0 "algo" ir.Ir.gpus (write_gpu b);
+  children b 0 "algo" ir.Ir.gpus (fun depth g ->
+      write_gpu b depth g;
+      flush b);
   Buffer.add_char b '\n';
   b
 
-let to_string ir = Buffer.contents (to_buffer ir)
+let to_string ir = Buffer.contents (print ir)
 
-let save ir path =
-  Out_channel.with_open_text path (fun oc ->
-      Buffer.output_buffer oc (to_buffer ir))
+let output oc ir =
+  let flush b =
+    Buffer.output_buffer oc b;
+    Buffer.clear b
+  in
+  flush (print ~flush ir)
+
+let save ir path = Out_channel.with_open_text path (fun oc -> output oc ir)

@@ -94,5 +94,10 @@ val to_string : Ir.t -> string
     out as {!tree_to_string} lays out a tree, then a newline. Written
     straight into one buffer. *)
 
+val output : out_channel -> Ir.t -> unit
+(** Writes {!to_string}'s document to the channel one [<gpu>] element at
+    a time, so only one rank's text is held in memory. *)
+
 val save : Ir.t -> string -> unit
-(** [save ir path] writes {!to_string}'s document to the file. *)
+(** [save ir path] writes {!to_string}'s document to the file, as
+    {!output} does. *)

@@ -71,7 +71,7 @@ type t = {
   mutable free_cbs : int array;
   mutable nfree_cbs : int;
   mutable ncbs : int;
-  events : int Pqueue.t;
+  events : Pqueue.t;
   clock : float array;
       (* [| now |]: a float field of this mixed record would be boxed on
          every write *)

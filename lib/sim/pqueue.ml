@@ -1,14 +1,22 @@
-(* Array-based binary min-heap in structure-of-arrays form: priorities
-   live in a flat float array (unboxed), so sift comparisons touch no
-   pointers and pushes allocate nothing. The heap sits on the hot path of
-   both the discrete-event engine (every event) and the scheduler (every
-   instruction), where the previous one-record-per-entry layout cost an
-   allocation per push and a pointer chase per comparison. *)
+(* Array-based binary min-heap of ints in structure-of-arrays form:
+   priorities live in a flat float array (unboxed), tie-breaking insertion
+   sequence numbers and values in int arrays, so sift comparisons touch no
+   pointers, writes need no write barrier and pushes allocate nothing. The
+   heap sits on the hot path of both the discrete-event engine (every
+   event) and the scheduler (every instruction); clients that need richer
+   payloads push an index into their own table.
 
-type 'a t = {
+   Sifts are hole-based: the moving entry is held in locals while the
+   entries it passes shift one level, so each level costs one write per
+   array instead of a swap.
+
+   Every key (priority, seq) is unique, so the pop order is fully
+   determined by the keys: any correct heap pops the same sequence. *)
+
+type t = {
   mutable prio : float array;
   mutable seq : int array;
-  mutable values : 'a array;
+  mutable values : int array;
   mutable size : int;
   mutable next_seq : int;
 }
@@ -19,7 +27,7 @@ let create () =
   {
     prio = Array.make initial_capacity 0.;
     seq = Array.make initial_capacity 0;
-    values = [||];  (* allocated lazily: we need a dummy 'a to fill with *)
+    values = Array.make initial_capacity 0;
     size = 0;
     next_seq = 0;
   }
@@ -28,72 +36,85 @@ let length t = t.size
 
 let is_empty t = t.size = 0
 
-let lt t i j =
-  t.prio.(i) < t.prio.(j)
-  || (t.prio.(i) = t.prio.(j) && t.seq.(i) < t.seq.(j))
+let grow t =
+  let cap = 2 * Array.length t.prio in
+  let prio = Array.make cap 0. in
+  Array.blit t.prio 0 prio 0 t.size;
+  t.prio <- prio;
+  let seq = Array.make cap 0 in
+  Array.blit t.seq 0 seq 0 t.size;
+  t.seq <- seq;
+  let values = Array.make cap 0 in
+  Array.blit t.values 0 values 0 t.size;
+  t.values <- values
 
-let swap t i j =
-  let p = t.prio.(i) in
-  t.prio.(i) <- t.prio.(j);
-  t.prio.(j) <- p;
-  let s = t.seq.(i) in
-  t.seq.(i) <- t.seq.(j);
-  t.seq.(j) <- s;
-  let v = t.values.(i) in
-  t.values.(i) <- t.values.(j);
-  t.values.(j) <- v
-
-let rec sift_up t i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if lt t i parent then begin
-      swap t i parent;
-      sift_up t parent
+(* Moves the entry at [i] up to its place. The entry is read back from
+   the arrays rather than passed in, so its float priority never crosses
+   a call boxed. *)
+let sift_up t i =
+  let prio = t.prio and seq = t.seq and values = t.values in
+  let p = prio.(i) and s = seq.(i) and v = values.(i) in
+  let hole = ref i in
+  let moving = ref true in
+  while !moving && !hole > 0 do
+    let parent = (!hole - 1) / 2 in
+    let pp = prio.(parent) in
+    if p < pp || (p = pp && s < seq.(parent)) then begin
+      prio.(!hole) <- pp;
+      seq.(!hole) <- seq.(parent);
+      values.(!hole) <- values.(parent);
+      hole := parent
     end
-  end
+    else moving := false
+  done;
+  prio.(!hole) <- p;
+  seq.(!hole) <- s;
+  values.(!hole) <- v
 
-let rec sift_down t i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = ref i in
-  if l < t.size && lt t l !smallest then smallest := l;
-  if r < t.size && lt t r !smallest then smallest := r;
-  if !smallest <> i then begin
-    swap t i !smallest;
-    sift_down t !smallest
-  end
-
-let ensure_room t value =
-  let cap = Array.length t.prio in
-  if t.size = cap then begin
-    let cap' = 2 * cap in
-    let prio = Array.make cap' 0. in
-    Array.blit t.prio 0 prio 0 t.size;
-    t.prio <- prio;
-    let seq = Array.make cap' 0 in
-    Array.blit t.seq 0 seq 0 t.size;
-    t.seq <- seq;
-    let values = Array.make cap' value in
-    Array.blit t.values 0 values 0 t.size;
-    t.values <- values
-  end
-  else if Array.length t.values < cap then begin
-    (* First push: materialize the value array with a real element. *)
-    let values = Array.make cap value in
-    Array.blit t.values 0 values 0 t.size;
-    t.values <- values
-  end
+(* Re-inserts the entry at [last] (just cut off the end) from the root
+   down, over the live entries [0, last). *)
+let sift_down_last t last =
+  let prio = t.prio and seq = t.seq and values = t.values in
+  let p = prio.(last) and s = seq.(last) and v = values.(last) in
+  let hole = ref 0 in
+  let moving = ref true in
+  while !moving do
+    let l = (2 * !hole) + 1 in
+    if l >= last then moving := false
+    else begin
+      let r = l + 1 in
+      let c =
+        if
+          r < last
+          && (prio.(r) < prio.(l) || (prio.(r) = prio.(l) && seq.(r) < seq.(l)))
+        then r
+        else l
+      in
+      let pc = prio.(c) in
+      if pc < p || (pc = p && seq.(c) < s) then begin
+        prio.(!hole) <- pc;
+        seq.(!hole) <- seq.(c);
+        values.(!hole) <- values.(c);
+        hole := c
+      end
+      else moving := false
+    end
+  done;
+  prio.(!hole) <- p;
+  seq.(!hole) <- s;
+  values.(!hole) <- v
 
 (* [add] and [min_priority] are inlined so that their float priority
    crosses the call unboxed: an out-of-line call would box it, one
    allocation per push or pop on the engine's hot path. *)
 let[@inline] add t ~priority value =
-  ensure_room t value;
+  if t.size = Array.length t.prio then grow t;
   let i = t.size in
   t.prio.(i) <- priority;
   t.seq.(i) <- t.next_seq;
   t.next_seq <- t.next_seq + 1;
   t.values.(i) <- value;
-  t.size <- t.size + 1;
+  t.size <- i + 1;
   sift_up t i
 
 let empty name = invalid_arg ("Pqueue." ^ name ^ ": empty queue")
@@ -106,13 +127,5 @@ let pop_min t =
   let v = t.values.(0) in
   let last = t.size - 1 in
   t.size <- last;
-  if last > 0 then begin
-    t.prio.(0) <- t.prio.(last);
-    t.seq.(0) <- t.seq.(last);
-    t.values.(0) <- t.values.(last);
-    t.values.(last) <- v;  (* keep the slot occupied, drop nothing live *)
-    sift_down t 0
-  end;
+  if last > 0 then sift_down_last t last;
   v
-
-let clear t = t.size <- 0

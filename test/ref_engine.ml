@@ -5,17 +5,32 @@
    which check the production engine against it.
 
    The body below is the old [lib/sim/engine.ml] unchanged. The shim
-   restores the option-returning [Pqueue.pop] it was written against;
-   the heap order is the same. *)
+   restores the polymorphic, option-returning [Pqueue] it was written
+   against on top of the int-valued heap: each pushed value waits in a
+   side table under the int the heap carries. The heap order is the
+   same. *)
 
 module Pqueue = struct
-  include Msccl_sim.Pqueue
+  module H = Msccl_sim.Pqueue
+
+  type 'a t = { heap : H.t; table : (int, 'a) Hashtbl.t; mutable next : int }
+
+  let create () = { heap = H.create (); table = Hashtbl.create 64; next = 0 }
+
+  let add t ~priority v =
+    let k = t.next in
+    t.next <- k + 1;
+    Hashtbl.replace t.table k v;
+    H.add t.heap ~priority k
 
   let pop t =
-    if is_empty t then None
+    if H.is_empty t.heap then None
     else
-      let p = min_priority t in
-      Some (p, pop_min t)
+      let p = H.min_priority t.heap in
+      let k = H.pop_min t.heap in
+      let v = Hashtbl.find t.table k in
+      Hashtbl.remove t.table k;
+      Some (p, v)
 end
 
 (* Fluid-flow discrete-event engine. Each active flow progresses at

@@ -4,8 +4,10 @@
    Bad build parameters (--instances 0, --channels 0) must come back as a
    one-line message and the command's bad-parameter exit code (1 for
    compile and simulate, 2 for lint and analyze), never as an uncaught
-   exception. And `compile --sym-compile` must write the same file as
-   the classic `compile`, byte for byte, for every hinted algorithm. *)
+   exception. `compile --sym-compile` must write the same file as the
+   classic `compile`, byte for byte, for every hinted algorithm. And a
+   file whose send and receive disagree on a message's chunk count gets
+   a diagnostic naming both steps from every reader command. *)
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
@@ -76,6 +78,38 @@ let test_sym_compile_identical algo () =
         true
         (String.equal (read_file classic) (read_file sym)))
 
+(* ------------------------------------------------------------------ *)
+(* A send and its receive with different counts                        *)
+(* ------------------------------------------------------------------ *)
+
+(* Every reader reports the mismatch with both steps; verify and lint
+   exit with the finding code, analyze stays advisory. *)
+let count_mismatch_commands =
+  [
+    ("verify", [ "verify" ], 1);
+    ("verify --static", [ "verify"; "--static" ], 1);
+    ("lint", [ "lint" ], 1);
+    ("analyze", [ "analyze"; "-t"; "custom:1:4" ], 0);
+  ]
+
+let test_count_mismatch (args, code) () =
+  let file = Filename.temp_file "msccl-cnt" ".xml" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove file)
+    (fun () ->
+      Msccl_core.Xml.save (Testutil.count_mismatch_ir ()) file;
+      let got, out, err = Testutil.run_cli (args @ [ file ]) in
+      Alcotest.(check int) "exit code" code got;
+      let text = out ^ err in
+      Alcotest.(check bool)
+        "no internal error" false
+        (contains ~sub:"internal error" text);
+      List.iter
+        (fun step ->
+          if not (contains ~sub:step text) then
+            Alcotest.failf "output lacks %S:\n%s" step text)
+        [ "rank 0 tb 0 step 2 (rrs)"; "rank 3 tb 0 step 1 (rrs)" ])
+
 let () =
   Alcotest.run "cli"
     [
@@ -92,4 +126,9 @@ let () =
         List.map
           (fun algo -> Testutil.tc algo (test_sym_compile_identical algo))
           hinted );
+      ( "count mismatch",
+        List.map
+          (fun (name, args, code) ->
+            Testutil.tc name (test_count_mismatch (args, code)))
+          count_mismatch_commands );
     ]

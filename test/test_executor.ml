@@ -220,6 +220,10 @@ let exec_error_pins =
       "2 message(s) left in flight on connection 0->1 ch0 (first sent by \
        rank 0 tb 0 step 0)"
       leftover_ir;
+    pin "count mismatch"
+      "rank 0 tb 0 step 2 (rrs): receives 2 chunk(s) but its matching \
+       send, rank 3 tb 0 step 1 (rrs), sent 1"
+      Testutil.count_mismatch_ir;
   ]
 
 let test_scratch_visible () =

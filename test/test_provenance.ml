@@ -118,6 +118,32 @@ let test_quotient_mode_engages () =
 (* Injected bugs carry root causes                                     *)
 (* ------------------------------------------------------------------ *)
 
+(* A send and its receive with different counts are reported with both
+   steps, before interpretation (which has no transfer function for
+   them), whether or not a symmetry is offered. *)
+let test_count_mismatch_reported () =
+  List.iter
+    (fun (what, ranks, expected) ->
+      let ir = Testutil.count_mismatch_ir ~ranks () in
+      let s = A.Symmetry.infer ir in
+      List.iter
+        (fun (mode, symmetry) ->
+          let r = A.Provenance.analyze ?symmetry ir in
+          let ds = r.A.Provenance.r_diags in
+          Alcotest.(check int)
+            (Printf.sprintf "%s, %s: diagnostics" what mode)
+            expected (List.length ds);
+          List.iter
+            (fun (d : A.Provenance.diag) ->
+              match (d.A.Provenance.dg_kind, d.A.Provenance.dg_site) with
+              | A.Provenance.Count_mismatch m, Some site ->
+                  Alcotest.(check int) "anchored at the receive"
+                    m.Ir.cm_recv.Ir.ep_step site.A.Provenance.p_step
+              | _ -> Alcotest.fail "expected a count-mismatch at a site")
+            ds)
+        [ ("full", None); ("symmetry", Some s) ])
+    [ ("rank 0", [ 0 ], 2); ("every rank", [ 0; 1; 2; 3 ], 8) ]
+
 let test_break_fusion_rejected () =
   let ir = F.Mutate.break_fusion (build "ring-allreduce") in
   match A.Provenance.check ir with
@@ -524,6 +550,7 @@ let () =
           Testutil.tc "never written" test_never_written_classified;
           Testutil.tc "overwritten before read" test_overwrite_classified;
           Testutil.tc "uninitialized read" test_uninitialized_read_static;
+          Testutil.tc "count mismatch" test_count_mismatch_reported;
         ] );
       ( "lints",
         [

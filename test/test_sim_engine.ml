@@ -17,9 +17,9 @@ let drain q =
 let test_pqueue_order () =
   let q = P.create () in
   List.iter (fun (p, v) -> P.add q ~priority:p v)
-    [ (3., "c"); (1., "a"); (2., "b"); (1., "a2") ];
-  Alcotest.(check (list string)) "sorted, stable ties"
-    [ "a"; "a2"; "b"; "c" ] (List.map snd (drain q));
+    [ (3., 30); (1., 10); (2., 20); (1., 11) ];
+  Alcotest.(check (list int)) "sorted, stable ties"
+    [ 10; 11; 20; 30 ] (List.map snd (drain q));
   Alcotest.(check bool) "empty" true (P.is_empty q);
   Alcotest.check_raises "pop_min on empty"
     (Invalid_argument "Pqueue.pop_min: empty queue") (fun () ->
@@ -32,6 +32,63 @@ let prop_pqueue_sorts =
       let q = P.create () in
       List.iter (fun (p, v) -> P.add q ~priority:p v) entries;
       List.map fst (drain q) = List.sort compare (List.map fst entries))
+
+(* Differential against a sorted-list model on (priority, seq): an
+   interleaving of pushes, pops and peeks, with priorities drawn from a
+   small set so that ties (broken by insertion order) are frequent. The
+   model pops the least (priority, seq) pair; every pop and peek must
+   agree, including the errors on an empty queue. *)
+type pq_op = Push of float * int | Pop | Peek
+
+let pq_op_gen =
+  Q.Gen.(
+    frequency
+      [
+        ( 3,
+          map2
+            (fun p v -> Push (float_of_int p, v))
+            (int_range 0 4) (int_range 0 1000) );
+        (2, return Pop);
+        (1, return Peek);
+      ])
+
+let pq_op_print = function
+  | Push (p, v) -> Printf.sprintf "push %g %d" p v
+  | Pop -> "pop"
+  | Peek -> "peek"
+
+let prop_pqueue_model =
+  Testutil.qtest ~count:300 "pqueue matches a sorted-list model"
+    Q.(
+      make ~print:(Print.list pq_op_print)
+        Gen.(list_size (int_range 0 200) pq_op_gen))
+    (fun ops ->
+      let q = P.create () in
+      let model = ref [] (* (priority, seq, value), ascending *) in
+      let seq = ref 0 in
+      let outcome f = try Ok (f ()) with Invalid_argument m -> Error m in
+      List.for_all
+        (fun op ->
+          match op with
+          | Push (p, v) ->
+              P.add q ~priority:p v;
+              model := List.merge compare !model [ (p, !seq, v) ];
+              incr seq;
+              P.length q = List.length !model
+          | Pop -> (
+              let got = outcome (fun () -> P.pop_min q) in
+              match !model with
+              | [] -> got = Error "Pqueue.pop_min: empty queue"
+              | (_, _, v) :: rest ->
+                  model := rest;
+                  got = Ok v)
+          | Peek -> (
+              let got = outcome (fun () -> P.min_priority q) in
+              match !model with
+              | [] -> got = Error "Pqueue.min_priority: empty queue"
+              | (p, _, _) :: _ -> got = Ok p))
+        ops
+      && List.map (fun (_, _, v) -> v) !model = List.map snd (drain q))
 
 let test_single_flow_timing () =
   let eng = E.create ~capacities:[| 100. |] in
@@ -422,7 +479,9 @@ let test_allocation_flat_in_fanout () =
 let () =
   Alcotest.run "sim-engine"
     [
-      ("pqueue", [ Testutil.tc "order" test_pqueue_order; prop_pqueue_sorts ]);
+      ( "pqueue",
+        [ Testutil.tc "order" test_pqueue_order; prop_pqueue_sorts;
+          prop_pqueue_model ] );
       ( "flows",
         [
           Testutil.tc "single flow" test_single_flow_timing;

@@ -126,3 +126,31 @@ let run_cli args =
       | _, Unix.WEXITED code ->
           (code, out, In_channel.with_open_bin err_path In_channel.input_all)
       | _ -> Alcotest.failf "msccl %s: killed" (String.concat " " args))
+
+(* 4-rank ring allreduce (one channel) with step 2 of thread block 0 — a
+   recv-reduce-send — raised from one chunk to two on each rank of
+   [ranks]. On rank 0 alone: the receive it makes pairs with a one-chunk
+   send from rank 3 (step 1), and the send it makes is received by a
+   one-chunk step of rank 1 (step 3). *)
+let count_mismatch_ir ?(ranks = [ 0 ]) () =
+  let ir =
+    Msccl_algorithms.Ring_allreduce.ir ~proto:Msccl_topology.Protocol.Simple
+      ~num_ranks:4 ()
+  in
+  let widen (l : Loc.t) = { l with Loc.count = 2 } in
+  let gpus =
+    Array.map
+      (fun (g : Ir.gpu) ->
+        if not (List.mem g.Ir.gpu_id ranks) then g
+        else
+          let tbs = Array.copy g.Ir.tbs in
+          let steps = Array.copy tbs.(0).Ir.steps in
+          let st = steps.(2) in
+          assert (st.Ir.op = Instr.Recv_reduce_send);
+          steps.(2) <-
+            { st with Ir.count = 2; src = Option.map widen st.Ir.src };
+          tbs.(0) <- { (tbs.(0)) with Ir.steps };
+          { g with Ir.tbs })
+      ir.Ir.gpus
+  in
+  { ir with Ir.gpus }
